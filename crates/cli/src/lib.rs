@@ -152,6 +152,20 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// Checks a problem scale from the command line (`--scale` or a swept
+/// value) against `0..=WorkloadParams::MAX_SCALE`.
+fn scale_of(v: u64) -> Result<u32, CliError> {
+    u32::try_from(v)
+        .ok()
+        .filter(|&s| s <= WorkloadParams::MAX_SCALE)
+        .ok_or_else(|| {
+            err(format!(
+                "scale must be in 0..={}, got {v}",
+                WorkloadParams::MAX_SCALE
+            ))
+        })
+}
+
 /// Parses a workload name as accepted on the command line.
 pub fn parse_workload(s: &str) -> Result<WorkloadKind, CliError> {
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -232,7 +246,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             "--idc" | "-i" => spec.idc = parse_idc(next(a)?)?,
             "--opt" => spec.optimized = true,
-            "--scale" => spec.scale = next(a)?.parse().map_err(|_| err("--scale: not a number"))?,
+            "--scale" => {
+                spec.scale = scale_of(next(a)?.parse().map_err(|_| err("--scale: not a number"))?)?
+            }
             "--seed" => spec.seed = next(a)?.parse().map_err(|_| err("--seed: not a number"))?,
             "--broadcast" => spec.broadcast = true,
             "--locality" => {
@@ -357,7 +373,10 @@ pub fn system_of(spec: &RunSpec) -> Result<SystemConfig, CliError> {
         cfg.sync = s;
     }
     if let Some(gb) = spec.link_gbps {
-        cfg.link = cfg.link.with_bandwidth(gb * 1_000_000_000);
+        let bytes_per_sec = gb
+            .checked_mul(1_000_000_000)
+            .ok_or_else(|| err(format!("--link-gbps {gb} is too large")))?;
+        cfg.link = cfg.link.with_bandwidth(bytes_per_sec);
     }
     cfg.validate().map_err(CliError)?;
     Ok(cfg)
@@ -472,7 +491,7 @@ pub fn execute_sweep(
                 s.channels = (v as usize / 2).max(1);
             }
             SweepParam::LinkGbps => s.link_gbps = Some(v),
-            SweepParam::Scale => s.scale = v as u32,
+            SweepParam::Scale => s.scale = scale_of(v)?,
         }
         let cfg = system_of(&s)?; // validate before spawning workers
         let label = format!("{} / {name}={v}", s.workload);
@@ -712,6 +731,41 @@ mod tests {
         assert!(system_of(&spec).is_err());
         spec.dimms = 8;
         assert!(system_of(&spec).is_ok());
+    }
+
+    #[test]
+    fn zero_link_bandwidth_is_a_cli_error() {
+        let Command::Run(spec) = parse_args(&sv(&["run", "--link-gbps", "0"])).unwrap() else {
+            panic!("expected Run")
+        };
+        let e = execute_run(&spec).unwrap_err();
+        assert!(
+            e.to_string().contains("link bandwidth must be non-zero"),
+            "{e}"
+        );
+        let spec = RunSpec {
+            link_gbps: Some(u64::MAX),
+            ..RunSpec::default()
+        };
+        assert!(system_of(&spec).is_err());
+        let e = execute_sweep(&RunSpec::default(), SweepParam::LinkGbps, &[25, 0]).unwrap_err();
+        assert!(e.to_string().contains("non-zero"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_scales_are_rejected() {
+        let max = WorkloadParams::MAX_SCALE.to_string();
+        assert!(parse_args(&sv(&["run", "--scale", &max])).is_ok());
+        assert!(parse_args(&sv(&["run", "--scale", "0"])).is_ok());
+        for bad in ["25", "40", "4294967304", "-1"] {
+            assert!(parse_args(&sv(&["run", "--scale", bad])).is_err(), "{bad}");
+        }
+        // Swept values are checked before any point runs; 2^32 + 8 must
+        // not truncate to scale 8.
+        for bad in [40, (1 << 32) + 8] {
+            let e = execute_sweep(&RunSpec::default(), SweepParam::Scale, &[7, bad]).unwrap_err();
+            assert!(e.to_string().contains("scale must be in"), "{e}");
+        }
     }
 
     #[test]

@@ -75,3 +75,34 @@ fn sweep_prints_every_value() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains('4') && text.contains('8'));
 }
+
+#[test]
+fn invalid_inputs_fail_with_an_error_not_a_panic() {
+    for (args, msg) in [
+        (
+            &["run", "--link-gbps", "0"][..],
+            "link bandwidth must be non-zero",
+        ),
+        (&["run", "--scale", "40"][..], "scale must be in"),
+        (
+            &[
+                "sweep",
+                "--workload",
+                "pr",
+                "--param",
+                "scale",
+                "--values",
+                "7,40",
+            ][..],
+            "scale must be in",
+        ),
+    ] {
+        let out = dlsim().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(out.status.code(), Some(1 | 2)),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+    }
+}

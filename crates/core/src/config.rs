@@ -310,6 +310,17 @@ impl SystemConfig {
         if !(0.0..=1.0).contains(&self.profile_fraction) {
             return Err("profile_fraction must be in [0,1]".into());
         }
+        // Each of these becomes a `BandwidthResource`, which cannot move
+        // bytes at zero bandwidth.
+        for (name, bytes_per_sec) in [
+            ("link bandwidth", self.link.bytes_per_sec),
+            ("channel bandwidth", self.channel_bandwidth),
+            ("CXL bandwidth", self.cxl_bandwidth),
+        ] {
+            if bytes_per_sec == 0 {
+                return Err(format!("{name} must be non-zero"));
+            }
+        }
         self.dram.validate()?;
         self.nmp_l1.validate()?;
         self.nmp_l2.validate()?;
@@ -425,6 +436,22 @@ mod tests {
     fn validate_rejects_proxy_polling_without_dimm_link() {
         let mut cfg = SystemConfig::nmp(16, 8).with_idc(IdcKind::CpuForwarding);
         cfg.polling = PollingStrategy::Proxy;
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_bandwidths() {
+        let mut cfg = SystemConfig::nmp(16, 8);
+        cfg.link = cfg.link.with_bandwidth(0);
+        assert_eq!(
+            cfg.validate(),
+            Err("link bandwidth must be non-zero".into())
+        );
+        let mut cfg = SystemConfig::nmp(16, 8);
+        cfg.channel_bandwidth = 0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = SystemConfig::nmp(16, 8);
+        cfg.cxl_bandwidth = 0;
         assert!(cfg.validate().is_err());
     }
 

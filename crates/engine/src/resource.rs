@@ -25,6 +25,17 @@ const RETENTION: Ps = Ps::from_us(50);
 /// A shared, capacity-1 resource (bus, link, port) with gap-filling
 /// reservation.
 ///
+/// # Complexity
+///
+/// The retained busy intervals are sorted, disjoint and never touch (an
+/// insert merges touching neighbours), so their *ends* are sorted as well.
+/// Every reservation therefore finds the first interval ending after its
+/// request time by binary search, `O(log n)` in the `n` intervals retained
+/// over the last [`RETENTION`], and scans forward only over the intervals
+/// it has to skip or fill. Inserting an interval that extends one
+/// neighbour updates it in place; only a segment standing alone, or one
+/// joining two neighbours, shifts the deque.
+///
 /// # Examples
 ///
 /// ```
@@ -93,11 +104,11 @@ impl Resource {
             return (now, now);
         }
         // Find the first gap of length >= dur starting at or after `now`.
+        // Intervals ending at or before `now` cannot delay it; the rest are
+        // disjoint and non-touching, so each one either leaves room before
+        // it or pushes the start to its end.
         let mut start = now;
-        for &(s, e) in self.intervals.iter() {
-            if e <= start {
-                continue;
-            }
+        for &(s, e) in self.intervals.range(self.first_ending_after(now)..) {
             if s >= start + dur {
                 break;
             }
@@ -131,47 +142,49 @@ impl Resource {
         if dur == Ps::ZERO {
             return (now, now);
         }
-        let mut remaining = dur;
+        let mut idx = self.first_ending_after(now);
         let mut cursor = now;
-        let mut first_start: Option<Ps> = None;
-        let mut segments: Vec<(Ps, Ps)> = Vec::new();
-        let mut idx = 0;
-        while remaining > Ps::ZERO {
-            // Skip busy intervals entirely behind the cursor.
-            while idx < self.intervals.len() && self.intervals[idx].1 <= cursor {
+        // `now` may sit inside a busy interval: the work starts at its end.
+        if let Some(&(s, e)) = self.intervals.get(idx) {
+            if s <= now {
+                cursor = e;
                 idx += 1;
             }
-            if idx < self.intervals.len() && self.intervals[idx].0 <= cursor {
-                // Cursor sits inside a busy interval: hop over it.
-                cursor = self.intervals[idx].1;
-                idx += 1;
-                continue;
+        }
+        let first_start = cursor;
+        let mut remaining = dur;
+        loop {
+            // `cursor` is idle up to the next busy interval (or forever).
+            let gap_end = self.intervals.get(idx).map_or(Ps::MAX, |&(s, _)| s);
+            let take = remaining.min(gap_end - cursor);
+            let merged = self.insert_interval(cursor, cursor + take);
+            remaining -= take;
+            if remaining == Ps::ZERO {
+                return (first_start, cursor + take);
             }
-            let gap_end = if idx < self.intervals.len() {
-                self.intervals[idx].0
-            } else {
-                Ps::MAX
-            };
-            let take = remaining.min(gap_end.saturating_sub(cursor));
-            segments.push((cursor, cursor + take));
-            first_start.get_or_insert(cursor);
-            remaining = remaining.saturating_sub(take);
-            cursor = gap_end;
+            // The segment filled the whole gap and merged with the interval
+            // behind it: carry on after that interval.
+            cursor = self.intervals[merged].1;
+            idx = merged + 1;
         }
-        let end = segments.last().expect("dur > 0 yields a segment").1;
-        for (s, e) in segments {
-            self.insert_interval(s, e);
-        }
-        (first_start.unwrap_or(now), end)
     }
 
-    /// Inserts busy interval `[start, end)`, merging with neighbours.
+    /// Index of the first retained interval that ends after `now`.
+    ///
+    /// The intervals are sorted and disjoint, so their ends are sorted too
+    /// and the intervals ending at or before `now` form a prefix.
+    fn first_ending_after(&self, now: Ps) -> usize {
+        self.intervals.partition_point(|&(_, e)| e <= now)
+    }
+
+    /// Inserts busy interval `[start, end)`, merging with neighbours, and
+    /// returns the index of the interval that now contains it.
     ///
     /// Under `feature = "audit"`, panics if the interval strictly overlaps
     /// an existing reservation: this is a capacity-1 resource, so both
     /// reservation paths place work in idle gaps only, and an overlap means
     /// the schedule was double-booked.
-    fn insert_interval(&mut self, start: Ps, end: Ps) {
+    fn insert_interval(&mut self, start: Ps, end: Ps) -> usize {
         #[cfg(feature = "audit")]
         for &(s, e) in self.intervals.iter() {
             assert!(
@@ -181,24 +194,23 @@ impl Resource {
                 self.name
             );
         }
-        let mut pos = self.intervals.partition_point(|&(s, _)| s < start);
-        // Walk back over intervals that touch `start`.
-        while pos > 0 && self.intervals[pos - 1].1 >= start {
-            pos -= 1;
+        // Intervals in `pos..touch_end` overlap or touch `[start, end)`.
+        let pos = self.intervals.partition_point(|&(_, e)| e < start);
+        let touch_end = pos
+            + self
+                .intervals
+                .range(pos..)
+                .take_while(|&&(s, _)| s <= end)
+                .count();
+        if pos == touch_end {
+            self.intervals.insert(pos, (start, end));
+        } else {
+            let new_s = start.min(self.intervals[pos].0);
+            let new_e = end.max(self.intervals[touch_end - 1].1);
+            self.intervals[pos] = (new_s, new_e);
+            self.intervals.drain(pos + 1..touch_end);
         }
-        let mut new_s = start;
-        let mut new_e = end;
-        while pos < self.intervals.len() && self.intervals[pos].0 <= new_e {
-            let (s, e) = self.intervals[pos];
-            if e < new_s {
-                pos += 1;
-                continue;
-            }
-            new_s = new_s.min(s);
-            new_e = new_e.max(e);
-            self.intervals.remove(pos);
-        }
-        self.intervals.insert(pos, (new_s, new_e));
+        pos
     }
 
     fn prune(&mut self) {
@@ -749,5 +761,306 @@ mod tests {
         }
         let expected: u64 = 100 * 4 + (0..100u64).map(|i| 1 + i % 5).sum::<u64>();
         assert_eq!(r.busy_time(), Ps::from_ns(expected));
+    }
+
+    // Edge cases of the scan start (the first interval ending after `now`).
+
+    /// Busy `[10, 20)` and `[30, 40)` ns, nothing pruned.
+    fn two_busy_intervals() -> Resource {
+        let mut r = Resource::new("r");
+        r.reserve(Ps::from_ns(10), Ps::from_ns(10));
+        r.reserve(Ps::from_ns(30), Ps::from_ns(10));
+        r
+    }
+
+    #[test]
+    fn request_strictly_inside_a_busy_interval_starts_at_its_end() {
+        let mut r = two_busy_intervals();
+        assert_eq!(
+            r.reserve_with_start(Ps::from_ns(15), Ps::from_ns(5)),
+            (Ps::from_ns(20), Ps::from_ns(25))
+        );
+        let mut r = two_busy_intervals();
+        // Split: 10 ns of work fills [20, 30) and merges both neighbours.
+        assert_eq!(
+            r.reserve_split_with_start(Ps::from_ns(15), Ps::from_ns(10)),
+            (Ps::from_ns(20), Ps::from_ns(30))
+        );
+        assert_eq!(r.intervals, [(Ps::from_ns(10), Ps::from_ns(40))]);
+    }
+
+    #[test]
+    fn request_exactly_at_an_interval_end_starts_there() {
+        // The interval ending at `now` is skipped by the search, and the
+        // new reservation merges with it.
+        let mut r = two_busy_intervals();
+        assert_eq!(
+            r.reserve_with_start(Ps::from_ns(20), Ps::from_ns(10)),
+            (Ps::from_ns(20), Ps::from_ns(30))
+        );
+        assert_eq!(r.intervals, [(Ps::from_ns(10), Ps::from_ns(40))]);
+        // A contiguous request that does not fit the gap skips it.
+        let mut r = two_busy_intervals();
+        assert_eq!(
+            r.reserve_with_start(Ps::from_ns(20), Ps::from_ns(11)),
+            (Ps::from_ns(40), Ps::from_ns(51))
+        );
+        let mut r = two_busy_intervals();
+        assert_eq!(
+            r.reserve_split_with_start(Ps::from_ns(20), Ps::from_ns(11)),
+            (Ps::from_ns(20), Ps::from_ns(41))
+        );
+        assert_eq!(r.intervals, [(Ps::from_ns(10), Ps::from_ns(41))]);
+    }
+
+    #[test]
+    fn request_before_the_first_retained_interval_fills_the_gap() {
+        // Prune [0, 10 ns) away, then request before the first interval
+        // still retained ([160, 160.004) us).
+        let mut r = Resource::new("r");
+        r.reserve(Ps::ZERO, Ps::from_ns(10));
+        r.reserve(Ps::from_us(200), Ps::from_ns(10));
+        r.reserve(Ps::from_us(160), Ps::from_ns(4));
+        assert_eq!(r.pruned_until, Ps::from_ns(10));
+        assert_eq!(
+            r.reserve_with_start(Ps::from_us(150), Ps::from_ns(4)),
+            (Ps::from_us(150), Ps::from_us(150) + Ps::from_ns(4))
+        );
+        assert_eq!(
+            r.reserve_split_with_start(Ps::from_us(155), Ps::from_ns(6)),
+            (Ps::from_us(155), Ps::from_us(155) + Ps::from_ns(6))
+        );
+        assert_eq!(r.intervals.len(), 4);
+        assert_eq!(r.out_of_window(), 0);
+    }
+
+    #[test]
+    fn request_after_the_last_interval_starts_immediately() {
+        let mut r = two_busy_intervals();
+        assert_eq!(
+            r.reserve_with_start(Ps::from_ns(50), Ps::from_ns(5)),
+            (Ps::from_ns(50), Ps::from_ns(55))
+        );
+        assert_eq!(
+            r.reserve_split_with_start(Ps::from_ns(60), Ps::from_ns(5)),
+            (Ps::from_ns(60), Ps::from_ns(65))
+        );
+        assert_eq!(r.intervals.len(), 4);
+        assert_eq!(r.free_at(), Ps::from_ns(65));
+    }
+
+    #[test]
+    fn split_fill_merges_with_both_neighbours_in_every_gap() {
+        // Busy [10, 20), [30, 40), [50, 60): 25 ns of split work from t=20
+        // fills [20, 30) and [40, 50) exactly (each merging both of its
+        // neighbours into one interval), then runs [60, 65).
+        let mut r = two_busy_intervals();
+        r.reserve(Ps::from_ns(50), Ps::from_ns(10));
+        assert_eq!(
+            r.reserve_split_with_start(Ps::from_ns(20), Ps::from_ns(25)),
+            (Ps::from_ns(20), Ps::from_ns(65))
+        );
+        assert_eq!(r.intervals, [(Ps::from_ns(10), Ps::from_ns(65))]);
+        assert_eq!(r.busy_time(), Ps::from_ns(55));
+    }
+
+    /// The front-to-back scan both reservation paths used before they
+    /// started at a binary-searched index, with the split path's per-call
+    /// segment list: the reference the differential test holds `Resource`
+    /// to.
+    #[derive(Debug, Clone, Default)]
+    struct ScanModel {
+        intervals: VecDeque<(Ps, Ps)>,
+        high_water: Ps,
+        pruned_until: Ps,
+        busy: Ps,
+        reservations: u64,
+        out_of_window: u64,
+    }
+
+    impl ScanModel {
+        /// Accounting, pruning and the window check common to both paths.
+        fn begin(&mut self, now: Ps, dur: Ps) {
+            self.busy += dur;
+            self.reservations += 1;
+            self.high_water = self.high_water.max(now);
+            self.prune();
+            if now < self.pruned_until {
+                self.out_of_window += 1;
+            }
+        }
+
+        fn prune(&mut self) {
+            let watermark = self.high_water.saturating_sub(RETENTION);
+            while let Some(&(_, e)) = self.intervals.front() {
+                if e < watermark && self.intervals.len() > 1 {
+                    self.intervals.pop_front();
+                    self.pruned_until = self.pruned_until.max(e);
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn reserve(&mut self, now: Ps, dur: Ps) -> (Ps, Ps) {
+            self.begin(now, dur);
+            if dur == Ps::ZERO {
+                return (now, now);
+            }
+            let mut start = now;
+            for &(s, e) in self.intervals.iter() {
+                if e <= start {
+                    continue;
+                }
+                if s >= start + dur {
+                    break;
+                }
+                start = e;
+            }
+            self.insert(start, start + dur);
+            (start, start + dur)
+        }
+
+        fn reserve_split(&mut self, now: Ps, dur: Ps) -> (Ps, Ps) {
+            self.begin(now, dur);
+            if dur == Ps::ZERO {
+                return (now, now);
+            }
+            let mut remaining = dur;
+            let mut cursor = now;
+            let mut segments: Vec<(Ps, Ps)> = Vec::new();
+            let mut idx = 0;
+            while remaining > Ps::ZERO {
+                while idx < self.intervals.len() && self.intervals[idx].1 <= cursor {
+                    idx += 1;
+                }
+                if idx < self.intervals.len() && self.intervals[idx].0 <= cursor {
+                    cursor = self.intervals[idx].1;
+                    idx += 1;
+                    continue;
+                }
+                let gap_end = self.intervals.get(idx).map_or(Ps::MAX, |&(s, _)| s);
+                let take = remaining.min(gap_end.saturating_sub(cursor));
+                segments.push((cursor, cursor + take));
+                remaining = remaining.saturating_sub(take);
+                cursor = gap_end;
+            }
+            let span = (segments[0].0, segments[segments.len() - 1].1);
+            for (s, e) in segments {
+                self.insert(s, e);
+            }
+            span
+        }
+
+        fn insert(&mut self, start: Ps, end: Ps) {
+            let mut pos = self.intervals.partition_point(|&(s, _)| s < start);
+            while pos > 0 && self.intervals[pos - 1].1 >= start {
+                pos -= 1;
+            }
+            let (mut new_s, mut new_e) = (start, end);
+            while pos < self.intervals.len() && self.intervals[pos].0 <= new_e {
+                let (s, e) = self.intervals[pos];
+                if e < new_s {
+                    pos += 1;
+                    continue;
+                }
+                new_s = new_s.min(s);
+                new_e = new_e.max(e);
+                self.intervals.remove(pos);
+            }
+            self.intervals.insert(pos, (new_s, new_e));
+        }
+
+        fn free_at(&self) -> Ps {
+            self.intervals.back().map_or(Ps::ZERO, |&(_, e)| e)
+        }
+
+        /// The pruned horizon a request at `now` is checked against.
+        fn horizon_at(&self, now: Ps) -> Ps {
+            let mut probe = self.clone();
+            probe.high_water = probe.high_water.max(now);
+            probe.prune();
+            probe.pruned_until
+        }
+
+        /// A request time drawn against the current schedule: inside, at
+        /// the start or end of, just before or after a busy interval, at
+        /// the edge of the retained window, near the high-water mark, or
+        /// far in the future (which prunes the schedule on the next
+        /// request). It is then lifted to the pruned horizon, because an
+        /// earlier request breaks the contract and panics in debug and
+        /// audit builds.
+        fn request_time(&self, at: u8, bits: u64) -> Ps {
+            let jitter = Ps::from_ps(bits % 20_000);
+            let (s, e) = if self.intervals.is_empty() {
+                (Ps::ZERO, Ps::ZERO)
+            } else {
+                self.intervals[(bits >> 20) as usize % self.intervals.len()]
+            };
+            let now = match at {
+                0 if e > s => s + Ps::from_ps(bits % (e - s).as_ps()),
+                1 => s,
+                2 => e,
+                3 => s.saturating_sub(jitter),
+                4 => self.free_at() + jitter,
+                5 => self.high_water.saturating_sub(RETENTION),
+                6 => self.high_water + RETENTION + Ps::from_ps(bits % RETENTION.as_ps()),
+                _ => self.high_water.saturating_sub(Ps::from_ps(bits % 40_000)) + jitter,
+            };
+            now.max(self.horizon_at(now))
+        }
+    }
+
+    /// A duration of class 0 (zero), 1 (a few ps), 2 (up to 5 ns), 3 (up
+    /// to 40 ns) or 4 (exactly the idle time from `now` to the next busy
+    /// interval, so a contiguous request just fits).
+    fn duration(m: &ScanModel, now: Ps, class: u8, bits: u64) -> Ps {
+        let next_start = m.intervals.iter().map(|&(s, _)| s).find(|&s| s > now);
+        Ps::from_ps(match (class, next_start) {
+            (0, _) => 0,
+            (1, _) => 1 + bits % 16,
+            (2, _) => 1 + bits % 5_000,
+            (4, Some(s)) => (s - now).as_ps(),
+            _ => 1 + bits % 40_000,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Both reservation paths return exactly what the front-to-back
+        /// scan returns, and leave the same schedule and counters, after
+        /// every call of a random mix of contiguous and split requests.
+        #[test]
+        fn matches_the_front_to_back_scan(
+            requests in proptest::prop::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    0u8..10,
+                    0u8..5,
+                    proptest::prelude::any::<u64>(),
+                ),
+                1..400,
+            ),
+        ) {
+            let mut r = Resource::new("r");
+            let mut m = ScanModel::default();
+            for (i, &(split, at, class, bits)) in requests.iter().enumerate() {
+                let now = m.request_time(at, bits);
+                let dur = duration(&m, now, class, bits.rotate_left(17));
+                let (got, want) = if split {
+                    (r.reserve_split_with_start(now, dur), m.reserve_split(now, dur))
+                } else {
+                    (r.reserve_with_start(now, dur), m.reserve(now, dur))
+                };
+                let call = format!("call {i}: split={split} now={now} dur={dur}");
+                proptest::prop_assert_eq!(got, want, "{call}");
+                proptest::prop_assert_eq!(r.busy_time(), m.busy, "{call}");
+                proptest::prop_assert_eq!(r.free_at(), m.free_at(), "{call}");
+                proptest::prop_assert_eq!(r.reservations(), m.reservations, "{call}");
+                proptest::prop_assert_eq!(r.out_of_window(), m.out_of_window, "{call}");
+                proptest::prop_assert_eq!(&r.intervals, &m.intervals, "{call}");
+            }
+        }
     }
 }

@@ -52,7 +52,8 @@ impl CsrGraph {
     /// of accesses while still dominating stall time.
     ///
     /// # Panics
-    /// Panics if `locality` is outside `[0, 1]`.
+    /// Panics if `locality` is outside `[0, 1]`, or if `scale` is 32 or
+    /// more (the vertex ids would not fit a `u32`).
     pub fn rmat_with_locality(
         scale: u32,
         edge_factor: u32,
@@ -60,7 +61,9 @@ impl CsrGraph {
         rng: &mut DetRng,
     ) -> Self {
         assert!((0.0..=1.0).contains(&locality), "locality must be in [0,1]");
-        let n = 1u32 << scale;
+        let n = 1u32.checked_shl(scale).unwrap_or_else(|| {
+            panic!("R-MAT scale {scale} is too large: 2^{scale} vertices overflow a u32 id")
+        });
         let m = (n as u64 * edge_factor as u64) as usize;
         let window = (n as u64 / 64).max(2);
         let mut edges = Vec::with_capacity(m);
@@ -147,6 +150,19 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "R-MAT scale 40 is too large")]
+    fn rmat_rejects_scales_beyond_u32_ids() {
+        // `1u32 << 40` would wrap to a 256-vertex graph in release builds.
+        let _ = CsrGraph::rmat_with_locality(40, 8, 0.85, &mut DetRng::seed(1));
+    }
+
+    #[test]
+    fn rmat_accepts_scale_zero() {
+        let g = CsrGraph::rmat_with_locality(0, 8, 0.85, &mut DetRng::seed(1));
+        assert_eq!(g.vertices(), 1);
+    }
 
     #[test]
     fn csr_from_edges_sorts_and_dedups() {

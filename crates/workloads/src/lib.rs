@@ -71,6 +71,11 @@ pub struct WorkloadParams {
 }
 
 impl WorkloadParams {
+    /// Largest supported `scale`. Every trace roughly doubles per step: at
+    /// scale 24 an R-MAT input already has 2^27 edges, and beyond 31 its
+    /// vertex ids no longer fit their `u32`.
+    pub const MAX_SCALE: u32 = 24;
+
     /// A small, test-friendly configuration.
     pub fn small(dimms: usize) -> Self {
         WorkloadParams {
