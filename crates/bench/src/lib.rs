@@ -44,16 +44,42 @@ pub struct Args {
     pub max_events: Option<u64>,
     /// Deterministic simulated-time budget per run (`--max-sim-ms N`).
     pub max_sim_ms: Option<u64>,
-    /// Intra-run DES worker threads per point (`--sim-threads N`).
-    /// Byte-identical results at any value; default 1 (sequential).
-    pub sim_threads: usize,
+}
+
+const USAGE: &str = "usage: [--scale N] [--seed N] [--quick] [--threads N] [--out DIR]\n       \
+                     [--resume] [--point-budget SECS] [--max-events N] [--max-sim-ms N]";
+
+/// Parses the value following `flag`, naming the flag in every error.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse '{v}'"))
 }
 
 impl Args {
     /// Parses `--scale N`, `--seed N`, `--quick`, `--threads N`, `--out DIR`,
-    /// `--resume`, `--point-budget SECS`, `--max-events N`, `--max-sim-ms N`,
-    /// `--sim-threads N` from `std::env::args`.
+    /// `--resume`, `--point-budget SECS`, `--max-events N`, `--max-sim-ms N`
+    /// from `std::env::args`. `--help` prints the usage and exits 0; any
+    /// invalid argument prints the error and exits with status 2.
     pub fn parse() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse_from(args.into_iter()).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses the arguments after the program name. Rejects unknown
+    /// arguments, missing or unparsable values, `--scale` above
+    /// [`dl_workloads::WorkloadParams::MAX_SCALE`], `--threads 0`, and a
+    /// `--point-budget` that is not a positive number of seconds.
+    pub fn parse_from(mut it: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut args = Args {
             scale: 0,
             seed: 42,
@@ -64,47 +90,44 @@ impl Args {
             point_budget: None,
             max_events: None,
             max_sim_ms: None,
-            sim_threads: 1,
         };
         let mut scale = None;
-        let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--scale" => scale = it.next().and_then(|v| v.parse().ok()),
-                "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(42),
+                "--scale" => {
+                    let s: u32 = value(&mut it, &a)?;
+                    let max = dl_workloads::WorkloadParams::MAX_SCALE;
+                    if s > max {
+                        return Err(format!("--scale must be in 0..={max}, got {s}"));
+                    }
+                    scale = Some(s);
+                }
+                "--seed" => args.seed = value(&mut it, &a)?,
                 "--quick" => args.quick = true,
-                "--threads" => args.threads = it.next().and_then(|v| v.parse().ok()),
-                "--out" => args.out = it.next().map(std::path::PathBuf::from),
+                "--threads" => {
+                    let n: usize = value(&mut it, &a)?;
+                    if n == 0 {
+                        return Err("--threads must be at least 1".into());
+                    }
+                    args.threads = Some(n);
+                }
+                "--out" => args.out = Some(value(&mut it, &a)?),
                 "--resume" => args.resume = true,
                 "--point-budget" => {
-                    args.point_budget = it
-                        .next()
-                        .and_then(|v| v.parse::<f64>().ok())
+                    let secs: f64 = value(&mut it, &a)?;
+                    let budget = Some(secs)
                         .filter(|s| *s > 0.0)
-                        .map(std::time::Duration::from_secs_f64)
+                        .and_then(|s| std::time::Duration::try_from_secs_f64(s).ok())
+                        .ok_or_else(|| format!("--point-budget must be positive, got {secs}"))?;
+                    args.point_budget = Some(budget);
                 }
-                "--max-events" => args.max_events = it.next().and_then(|v| v.parse().ok()),
-                "--max-sim-ms" => args.max_sim_ms = it.next().and_then(|v| v.parse().ok()),
-                "--sim-threads" => {
-                    args.sim_threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or(1)
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale N] [--seed N] [--quick] [--threads N] [--out DIR]\n       \
-                         [--resume] [--point-budget SECS] [--max-events N] [--max-sim-ms N]\n       \
-                         [--sim-threads N]"
-                    );
-                    std::process::exit(0);
-                }
-                other => eprintln!("ignoring unknown argument {other}"),
+                "--max-events" => args.max_events = Some(value(&mut it, &a)?),
+                "--max-sim-ms" => args.max_sim_ms = Some(value(&mut it, &a)?),
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
         args.scale = scale.unwrap_or(if args.quick { 10 } else { 13 });
-        args
+        Ok(args)
     }
 
     /// The sweep options these arguments describe.
@@ -116,7 +139,6 @@ impl Args {
             resume: self.resume,
             point_budget: self.point_budget,
             halt_after: None,
-            sim_threads: self.sim_threads,
         }
     }
 
@@ -227,6 +249,88 @@ mod tests {
         assert!((geo(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(fmt_x(1.5), "1.50x");
         assert_eq!(fmt_pct(0.305), "30.5%");
+    }
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse_from(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn args_defaults() {
+        let a = parse("").unwrap();
+        assert_eq!((a.scale, a.seed, a.quick, a.resume), (13, 42, false, false));
+        assert_eq!(a.threads, None);
+        assert_eq!(a.out, None);
+        assert_eq!(a.point_budget, None);
+        assert_eq!((a.max_events, a.max_sim_ms), (None, None));
+        assert_eq!(parse("--quick").unwrap().scale, 10);
+        assert_eq!(parse("--quick --scale 12").unwrap().scale, 12);
+    }
+
+    #[test]
+    fn args_parse_every_flag() {
+        let a = parse(
+            "--scale 9 --seed 7 --threads 3 --out dir --resume \
+             --point-budget 1.5 --max-events 100 --max-sim-ms 20",
+        )
+        .unwrap();
+        assert_eq!((a.scale, a.seed, a.threads), (9, 7, Some(3)));
+        assert_eq!(a.out, Some(std::path::PathBuf::from("dir")));
+        assert!(a.resume);
+        assert_eq!(a.point_budget, Some(std::time::Duration::from_millis(1500)));
+        assert_eq!((a.max_events, a.max_sim_ms), (Some(100), Some(20)));
+    }
+
+    const VALUED: [&str; 7] = [
+        "--scale",
+        "--seed",
+        "--threads",
+        "--out",
+        "--point-budget",
+        "--max-events",
+        "--max-sim-ms",
+    ];
+
+    #[test]
+    fn args_reject_unparsable_values() {
+        for flag in VALUED.iter().filter(|f| **f != "--out") {
+            let e = parse(&format!("{flag} abc")).unwrap_err();
+            assert_eq!(e, format!("{flag}: cannot parse 'abc'"));
+        }
+        assert!(parse("--scale -1").is_err());
+        assert!(parse("--seed -1").is_err());
+    }
+
+    #[test]
+    fn args_reject_missing_values() {
+        for flag in VALUED {
+            let e = parse(&format!("--quick {flag}")).unwrap_err();
+            assert_eq!(e, format!("{flag} needs a value"));
+        }
+    }
+
+    #[test]
+    fn args_reject_scale_above_max() {
+        let max = dl_workloads::WorkloadParams::MAX_SCALE;
+        assert_eq!(parse(&format!("--scale {max}")).unwrap().scale, max);
+        assert!(parse(&format!("--scale {}", max + 1)).is_err());
+        assert!(parse("--scale 4294967304").is_err());
+    }
+
+    #[test]
+    fn args_reject_zero_threads_and_bad_budgets() {
+        assert!(parse("--threads 0").is_err());
+        for bad in ["0", "-1", "NaN", "inf", "1e300"] {
+            assert!(parse(&format!("--point-budget {bad}")).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn args_reject_unknown_arguments() {
+        assert!(parse("--frobnicate").is_err());
+        assert!(parse("stray").is_err());
+        let e = parse("--sim-threads 4").unwrap_err();
+        assert_eq!(e, "unknown argument '--sim-threads'");
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! ```
 
 use dimm_link::config::SystemConfig;
-use dimm_link::runner::{host_baseline, simulate_optimized_with, simulate_with, RunResult};
+use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dimm_link::EnergyBreakdown;
 use dl_engine::stats::StatSet;
 use dl_engine::{Ps, RunBudget, RunStatus};
@@ -259,12 +259,6 @@ pub struct SweepOptions {
     /// not-yet-journaled points, journal them, then bail out with an error
     /// before writing the artifact.
     pub halt_after: Option<usize>,
-    /// Intra-run DES worker threads per point (the DIMM-partitioned
-    /// engine; see `dimm_link::runner::simulate_with`). Results are
-    /// byte-identical at any value, so this is deliberately not part of a
-    /// point's identity (`point_key`) — resumed journals match across
-    /// different settings. `0` is treated as `1` (sequential).
-    pub sim_threads: usize,
 }
 
 /// Resolves the worker-thread count: explicit request, else `DL_THREADS`,
@@ -524,7 +518,6 @@ impl Sweep {
             points: Arc::new(points),
             pending: Arc::new(pending.clone()),
             next: Arc::new(AtomicUsize::new(0)),
-            sim_threads: opts.sim_threads.max(1),
             tx,
         };
         for _ in 0..threads {
@@ -755,8 +748,6 @@ struct WorkerCtx {
     /// Submission indices still to run, claimed in order via `next`.
     pending: Arc<Vec<usize>>,
     next: Arc<AtomicUsize>,
-    /// Intra-run DES threads forwarded to each point's simulation.
-    sim_threads: usize,
     tx: mpsc::Sender<Msg>,
 }
 
@@ -774,7 +765,7 @@ fn spawn_worker(ctx: WorkerCtx) {
             break; // collector is gone
         }
         let t0 = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute(&point.job, ctx.sim_threads)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute(&point.job)));
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let result = match outcome {
             Ok(r) => Ok(RunRecord {
@@ -803,7 +794,7 @@ fn spawn_worker(ctx: WorkerCtx) {
     });
 }
 
-fn execute(job: &Job, sim_threads: usize) -> RunResult {
+fn execute(job: &Job) -> RunResult {
     match job {
         Job::Simulate {
             kind,
@@ -813,9 +804,9 @@ fn execute(job: &Job, sim_threads: usize) -> RunResult {
         } => {
             let wl = kind.build(params);
             if *optimized {
-                simulate_optimized_with(&wl, cfg, sim_threads)
+                simulate_optimized(&wl, cfg)
             } else {
-                simulate_with(&wl, cfg, sim_threads)
+                simulate(&wl, cfg)
             }
         }
         Job::HostBaseline { kind, scale, seed } => {

@@ -17,7 +17,7 @@
 //! parsing and dispatch logic so it can be unit-tested.
 
 use dimm_link::config::{IdcKind, PollingStrategy, SyncScheme, SystemConfig};
-use dimm_link::runner::{host_baseline, simulate_optimized_with, simulate_with, RunResult};
+use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_bench::sweep::{Sweep, SweepOptions};
 use dl_noc::TopologyKind;
 use dl_workloads::{WorkloadKind, WorkloadParams};
@@ -80,9 +80,6 @@ pub struct RunSpec {
     /// Sweep worker threads (sweep only); `None` defers to `DL_THREADS`,
     /// then to `available_parallelism()`.
     pub threads: Option<usize>,
-    /// Intra-run DES worker threads (DIMM-partitioned engine). Results are
-    /// byte-identical at any value; this is purely a wall-clock knob.
-    pub sim_threads: usize,
     /// Sweep artifact directory (sweep only); writes
     /// `<dir>/dlsim_<param>.jsonl` when set.
     pub out_dir: Option<PathBuf>,
@@ -115,7 +112,6 @@ impl Default for RunSpec {
             link_gbps: None,
             json: false,
             threads: None,
-            sim_threads: 1,
             out_dir: None,
             resume: false,
             point_budget_secs: None,
@@ -285,15 +281,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
                 spec.threads = Some(n);
             }
-            "--sim-threads" => {
-                let n: usize = next(a)?
-                    .parse()
-                    .map_err(|_| err("--sim-threads: not a number"))?;
-                if n == 0 {
-                    return Err(err("--sim-threads must be at least 1"));
-                }
-                spec.sim_threads = n;
-            }
             "--out" => spec.out_dir = Some(PathBuf::from(next(a)?)),
             "--resume" => spec.resume = true,
             "--point-budget" => {
@@ -404,9 +391,9 @@ pub fn execute_run(spec: &RunSpec) -> Result<RunResult, CliError> {
     let cfg = system_of(spec)?;
     let wl = workload_of(spec);
     Ok(if spec.optimized {
-        simulate_optimized_with(&wl, &cfg, spec.sim_threads)
+        simulate_optimized(&wl, &cfg)
     } else {
-        simulate_with(&wl, &cfg, spec.sim_threads)
+        simulate(&wl, &cfg)
     })
 }
 
@@ -518,7 +505,6 @@ pub fn execute_sweep(
             .point_budget_secs
             .map(std::time::Duration::from_secs_f64),
         halt_after: None,
-        sim_threads: spec.sim_threads,
     };
     let out = sweep.run_with(&opts).map_err(|e| CliError(e.to_string()))?;
     Ok(values
@@ -551,15 +537,13 @@ pub fn usage() -> String {
      \x20 dlsim list\n\n\
      FLAGS: --scale N  --seed N  --broadcast  --locality F  --topology <t>\n\
      \x20      --polling <s>  --sync <s>  --link-gbps N  --json\n\
-     \x20      --resume  --point-budget SECS  --max-events N  --max-sim-ms N\n\
-     \x20      --sim-threads N\n\n\
+     \x20      --resume  --point-budget SECS  --max-events N  --max-sim-ms N\n\n\
      Sweeps fan out over --threads workers (default: DL_THREADS, else all\n\
-     cores); results are deterministic regardless of thread count. Each\n\
-     run can itself be parallelized across its DIMM partitions with\n\
-     --sim-threads N — results stay byte-identical at any value. With\n\
-     --out DIR the sweep also writes DIR/dlsim_<param>.jsonl, journaling\n\
-     each finished point to DIR/dlsim_<param>.journal.jsonl so an\n\
-     interrupted sweep restarts where it stopped with --resume.\n\
+     cores), one point per worker; results are deterministic regardless of\n\
+     thread count. With --out DIR the sweep also writes\n\
+     DIR/dlsim_<param>.jsonl, journaling each finished point to\n\
+     DIR/dlsim_<param>.journal.jsonl so an interrupted sweep restarts where\n\
+     it stopped with --resume.\n\
      --max-events/--max-sim-ms cap each run deterministically inside the\n\
      engine (the record is marked BudgetExceeded); --point-budget is a\n\
      wall-clock watchdog that abandons hung points.\n\n\
@@ -680,20 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_sim_threads() {
-        let cmd = parse_args(&sv(&["run", "--workload", "bfs", "--sim-threads", "4"])).unwrap();
-        let Command::Run(spec) = cmd else {
-            panic!("expected Run")
-        };
-        assert_eq!(spec.sim_threads, 4);
-        // Default is sequential.
-        assert_eq!(RunSpec::default().sim_threads, 1);
-        // 0 threads cannot advance the simulation.
-        assert!(parse_args(&sv(&["run", "--sim-threads", "0"])).is_err());
-        assert!(parse_args(&sv(&["run", "--sim-threads", "nope"])).is_err());
-    }
-
-    #[test]
     fn resume_requires_an_out_dir() {
         let spec = RunSpec {
             workload: WorkloadKind::Hotspot,
@@ -713,6 +683,7 @@ mod tests {
         assert!(parse_args(&sv(&["sweep", "--workload", "pr"])).is_err()); // no --param
         assert!(parse_args(&sv(&["run", "--locality", "7"])).is_err());
         assert!(parse_args(&sv(&["run", "--dimms"])).is_err()); // missing value
+        assert!(parse_args(&sv(&["run", "--sim-threads", "2"])).is_err());
     }
 
     #[test]

@@ -44,7 +44,5 @@ pub mod system;
 
 pub use config::{HostConfig, IdcKind, PlacementPolicy, PollingStrategy, SyncScheme, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyParams};
-pub use runner::{
-    host_baseline, simulate, simulate_optimized, simulate_optimized_with, simulate_with, RunResult,
-};
+pub use runner::{host_baseline, simulate, simulate_optimized, RunResult};
 pub use system::{natural_placement, random_placement, NmpSystem};

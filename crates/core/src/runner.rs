@@ -73,20 +73,11 @@ fn finish(raw: RawRun, cfg: &SystemConfig, profiling: Ps, earlier: RunStatus) ->
 /// Runs `workload` on the NMP system with the configured static placement
 /// (no task-mapping optimization — "DIMM-Link-base" and all baselines).
 pub fn simulate(workload: &Workload, cfg: &SystemConfig) -> RunResult {
-    simulate_with(workload, cfg, 1)
-}
-
-/// Like [`simulate`], with up to `sim_threads` OS worker threads advancing
-/// the DIMM partitions in parallel. Results are byte-identical at any
-/// thread count (see [`NmpSystem::run_with`]); `sim_threads` is therefore a
-/// host-side performance knob and deliberately not part of
-/// [`SystemConfig`].
-pub fn simulate_with(workload: &Workload, cfg: &SystemConfig, sim_threads: usize) -> RunResult {
     let placement = match cfg.placement {
         PlacementPolicy::Natural => natural_placement(workload),
         PlacementPolicy::Random => random_placement(workload, cfg, cfg.seed),
     };
-    let raw = NmpSystem::new(workload, cfg, &placement, None).run_with(sim_threads);
+    let raw = NmpSystem::new(workload, cfg, &placement, None).run();
     finish(raw, cfg, Ps::ZERO, RunStatus::Completed)
 }
 
@@ -95,23 +86,12 @@ pub fn simulate_with(workload: &Workload, cfg: &SystemConfig, sim_threads: usize
 /// min-cost max-flow, then run the whole workload on the optimized
 /// placement. The profiling time is charged to `elapsed`, as in the paper.
 pub fn simulate_optimized(workload: &Workload, cfg: &SystemConfig) -> RunResult {
-    simulate_optimized_with(workload, cfg, 1)
-}
-
-/// Like [`simulate_optimized`], running both the profiling and the measured
-/// phase with up to `sim_threads` OS worker threads. Byte-identical at any
-/// thread count.
-pub fn simulate_optimized_with(
-    workload: &Workload,
-    cfg: &SystemConfig,
-    sim_threads: usize,
-) -> RunResult {
     let start = random_placement(workload, cfg, cfg.seed);
     let max_len = workload.traces().iter().map(|t| t.len()).max().unwrap_or(0);
     let limit = ((max_len as f64 * cfg.profile_fraction) as usize).max(32);
-    let profile_run = NmpSystem::new(workload, cfg, &start, Some(limit)).run_with(sim_threads);
+    let profile_run = NmpSystem::new(workload, cfg, &start, Some(limit)).run();
     let placement = optimized_placement(cfg, &profile_run);
-    let raw = NmpSystem::new(workload, cfg, &placement, None).run_with(sim_threads);
+    let raw = NmpSystem::new(workload, cfg, &placement, None).run();
     finish(raw, cfg, profile_run.elapsed, profile_run.status)
 }
 

@@ -7,27 +7,26 @@
 //! host only participates through polling and packet forwarding
 //! ([`crate::host::HostPath`]).
 //!
-//! # Partitioned engine
+//! # Partitioned epochs
 //!
-//! The simulator is a conservative parallel DES. System state is split into
-//! one [`DimmPart`] per DIMM — cores, caches, memory controller, atomic
-//! unit, and a local event queue — plus one [`Coordinator`] owning every
-//! genuinely shared model (the interconnect, the host path, the sync
-//! masters, the barrier). Partitions advance in bounded time *epochs*: each
-//! epoch spans `[m, m + W)` where `m` is the earliest pending event across
-//! all partitions and `W` is the lookahead
+//! System state is split into one [`DimmPart`] per DIMM — cores, caches,
+//! memory controller, atomic unit, and a local event queue — plus one
+//! [`Coordinator`] owning every genuinely shared model (the interconnect,
+//! the host path, the sync masters, the barrier). Partitions advance in
+//! bounded time *epochs*: each epoch spans `[m, m + W)` where `m` is the
+//! earliest pending event across all partitions and `W` is the lookahead
 //! ([`crate::idc::min_cross_latency`], the cheapest possible
 //! cross-partition message). Within an epoch a partition processes only its
 //! own events and stages anything cross-partition as an [`Intent`] in its
-//! [`Outbox`]. At the epoch barrier the coordinator merges all outboxes
+//! [`Outbox`]. At the end of the epoch the coordinator merges all outboxes
 //! into one total order — `(timestamp, source partition, source sequence)`,
 //! see [`dl_engine::epoch::merge_epoch`] — performs the interconnect and
 //! host-path reservations in that order, and pushes the resulting
 //! deliveries into the target partitions no earlier than the epoch
-//! boundary. Every component of that procedure is independent of the OS
-//! thread count, so [`NmpSystem::run_with`] produces byte-identical results
-//! at any `sim_threads` value; threads only change which OS worker executes
-//! which partition.
+//! boundary. That merge order and the clamp to the epoch end are part of
+//! how the model times cross-DIMM effects: they fix the order in which
+//! contending transfers claim the shared links and host path, and every
+//! recorded result depends on them.
 
 use crate::config::{SyncScheme, SystemConfig};
 use crate::host::HostPath;
@@ -42,9 +41,6 @@ use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, Mem
 use dl_placement::AccessProfile;
 use dl_workloads::{Op, Workload};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Cycles of local bookkeeping at each synchronization stage.
 const SYNC_PROC: Ps = Ps::from_ns(5);
@@ -218,9 +214,6 @@ struct BarrierState {
 enum Plan {
     /// The run is over (completed or out of budget).
     Stop(RunStatus),
-    /// The run cannot make progress; the coordinator must fail after
-    /// releasing any parked workers.
-    Fail(String),
     /// Run one epoch ending (exclusively) at this time.
     Run(Ps),
 }
@@ -240,7 +233,7 @@ pub struct RawRun {
 }
 
 /// Read-only state every partition needs: configuration, the workload, and
-/// the placement maps. Shared by reference across worker threads.
+/// the placement maps.
 struct Shared<'w> {
     cfg: SystemConfig,
     workload: &'w Workload,
@@ -312,11 +305,10 @@ struct Coordinator {
 }
 
 /// The NMP system simulator. Construct with [`NmpSystem::new`], run with
-/// [`NmpSystem::run`] (sequential) or [`NmpSystem::run_with`] (parallel;
-/// byte-identical results at any thread count).
+/// [`NmpSystem::run`].
 pub struct NmpSystem<'w> {
     shared: Shared<'w>,
-    parts: Vec<Mutex<DimmPart>>,
+    parts: Vec<DimmPart>,
     coord: Coordinator,
     /// Epoch width `W`: the cheapest possible cross-partition latency.
     lookahead: Ps,
@@ -407,7 +399,7 @@ impl<'w> NmpSystem<'w> {
                 for &g in &residents {
                     events.push(Ps::ZERO, Ev::Wake(g));
                 }
-                Mutex::new(DimmPart {
+                DimmPart {
                     dimm: d,
                     l1: residents.iter().map(|_| Cache::new(cfg.nmp_l1)).collect(),
                     threads: residents,
@@ -433,7 +425,7 @@ impl<'w> NmpSystem<'w> {
                     remote_issue: BTreeMap::new(),
                     remote_rtt: Histogram::new(),
                     profile: AccessProfile::new(threads, cfg.dimms),
-                })
+                }
             })
             .collect();
 
@@ -476,152 +468,31 @@ impl<'w> NmpSystem<'w> {
         }
     }
 
-    /// The epoch width `W` (the minimum cross-partition latency).
-    pub fn lookahead(&self) -> Ps {
-        self.lookahead
-    }
-
     /// Runs to completion (or until the configured [`dl_engine::RunBudget`]
-    /// is exceeded) on the calling thread and collects results. Equivalent
-    /// to `run_with(1)`.
+    /// is exceeded) and collects results.
+    ///
+    /// Budgets are observed deterministically at the top of each epoch (the
+    /// sum of per-partition scheduled-event counters and the maximum
+    /// partition clock); see [`dl_engine::BudgetKind`] for the overshoot
+    /// contract. A runaway run with an unlimited budget stops with
+    /// [`BudgetKind::Backstop`] instead of panicking.
     ///
     /// # Panics
     /// Panics on deadlock (all event queues drained with live threads —
     /// e.g. barrier-unbalanced traces).
-    pub fn run(self) -> RawRun {
-        self.run_with(1)
-    }
-
-    /// Runs the simulation with up to `sim_threads` OS worker threads.
-    ///
-    /// Partitioning is fixed (one partition per DIMM) regardless of
-    /// `sim_threads`, and cross-partition effects are applied in a merged
-    /// total order at epoch barriers, so the result — every statistic, the
-    /// profile, the status — is byte-identical at any thread count. Budgets
-    /// are observed deterministically at the top of each epoch (the sum of
-    /// per-partition scheduled-event counters and the maximum partition
-    /// clock); see [`dl_engine::BudgetKind`] for the overshoot contract. A
-    /// runaway run with an unlimited budget stops with
-    /// [`BudgetKind::Backstop`] instead of panicking.
-    ///
-    /// # Panics
-    /// Panics if `sim_threads` is zero, or on deadlock (all event queues
-    /// drained with live threads — e.g. barrier-unbalanced traces).
-    pub fn run_with(mut self, sim_threads: usize) -> RawRun {
-        assert!(sim_threads >= 1, "sim_threads must be at least 1");
-        let n = sim_threads.min(self.parts.len());
-        let status = if n <= 1 {
-            self.run_inline()
-        } else {
-            self.run_parallel(n)
+    pub fn run(mut self) -> RawRun {
+        let status = loop {
+            match epoch_plan(&self.parts, &self.shared.cfg, self.lookahead) {
+                Plan::Stop(status) => break status,
+                Plan::Run(epoch_end) => {
+                    for part in &mut self.parts {
+                        part.run_epoch(&self.shared, epoch_end);
+                    }
+                    run_barrier_phase(&mut self.parts, &self.shared, &mut self.coord, epoch_end);
+                }
+            }
         };
         self.collect(status)
-    }
-
-    /// Sequential driver: same epoch structure as the parallel one, with
-    /// partitions advanced inline in partition order.
-    fn run_inline(&mut self) -> RunStatus {
-        loop {
-            match epoch_plan(&self.parts, &self.shared.cfg, self.lookahead) {
-                Plan::Stop(status) => return status,
-                Plan::Fail(msg) => panic!("{msg}"),
-                Plan::Run(epoch_end) => {
-                    for part in &self.parts {
-                        part.lock()
-                            .expect("partition lock poisoned")
-                            .run_epoch(&self.shared, epoch_end);
-                    }
-                    run_barrier_phase(&self.parts, &self.shared, &mut self.coord, epoch_end);
-                }
-            }
-        }
-    }
-
-    /// Parallel driver: `n` persistent workers advance partitions in a
-    /// fixed strided mapping (worker `w` owns partitions `w, w + n, …`);
-    /// the coordinator plans each epoch, releases the workers through a
-    /// start barrier, joins them at an end barrier, then applies the merged
-    /// cross-partition effects alone.
-    fn run_parallel(&mut self, n: usize) -> RunStatus {
-        let parts = &self.parts;
-        let sh = &self.shared;
-        let coord = &mut self.coord;
-        let lookahead = self.lookahead;
-        let start = SpinBarrier::new(n + 1);
-        let end = SpinBarrier::new(n + 1);
-        let epoch_end_ps = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        let worker_panic: Mutex<Option<String>> = Mutex::new(None);
-        let mut status = RunStatus::Completed;
-
-        std::thread::scope(|scope| {
-            for wid in 0..n {
-                let (start, end) = (&start, &end);
-                let (epoch_end_ps, stop) = (&epoch_end_ps, &stop);
-                let worker_panic = &worker_panic;
-                let sh: &Shared<'_> = sh;
-                scope.spawn(move || loop {
-                    start.wait();
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let epoch_end = Ps::from_ps(epoch_end_ps.load(Ordering::SeqCst));
-                    // Catch panics so the epoch barriers stay balanced; the
-                    // coordinator re-raises after releasing every worker.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut i = wid;
-                        while i < parts.len() {
-                            parts[i]
-                                .lock()
-                                .expect("partition lock poisoned")
-                                .run_epoch(sh, epoch_end);
-                            i += n;
-                        }
-                    }));
-                    if let Err(payload) = outcome {
-                        let mut slot = worker_panic.lock().expect("panic-note lock poisoned");
-                        if slot.is_none() {
-                            *slot = Some(panic_message(payload.as_ref()));
-                        }
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    end.wait();
-                });
-            }
-            loop {
-                match epoch_plan(parts, &sh.cfg, lookahead) {
-                    Plan::Stop(s) => {
-                        status = s;
-                        stop.store(true, Ordering::SeqCst);
-                        start.wait();
-                        break;
-                    }
-                    Plan::Fail(msg) => {
-                        stop.store(true, Ordering::SeqCst);
-                        start.wait();
-                        panic!("{msg}");
-                    }
-                    Plan::Run(epoch_end) => {
-                        epoch_end_ps.store(epoch_end.as_ps(), Ordering::SeqCst);
-                        start.wait();
-                        end.wait();
-                        if stop.load(Ordering::SeqCst) {
-                            // A worker panicked this epoch: release every
-                            // worker so it observes `stop`, then propagate.
-                            start.wait();
-                            let msg = worker_panic
-                                .lock()
-                                .expect("panic-note lock poisoned")
-                                .take()
-                                .unwrap_or_else(|| "simulation worker panicked".to_string());
-                            panic!("{msg}");
-                        }
-                        run_barrier_phase(parts, sh, coord, epoch_end);
-                    }
-                }
-            }
-        });
-        status
     }
 
     /// Test hook: inject an extra wake event for `thread` at time `at`
@@ -629,11 +500,7 @@ impl<'w> NmpSystem<'w> {
     #[cfg(test)]
     fn inject_wake(&mut self, thread: usize, at: Ps) {
         let d = self.shared.placement[thread];
-        self.parts[d]
-            .get_mut()
-            .expect("partition lock poisoned")
-            .events
-            .push(at, Ev::Wake(thread));
+        self.parts[d].events.push(at, Ev::Wake(thread));
     }
 
     // ------------------------------------------------------------------
@@ -647,10 +514,6 @@ impl<'w> NmpSystem<'w> {
             mut coord,
             ..
         } = self;
-        let parts: Vec<DimmPart> = parts
-            .into_iter()
-            .map(|p| p.into_inner().expect("partition lock poisoned"))
-            .collect();
         let threads_total = sh.placement.len();
 
         // Cores still running when a budget cut the run short are charged
@@ -664,8 +527,7 @@ impl<'w> NmpSystem<'w> {
         }
         coord.host.finalize(elapsed);
 
-        // Exact integer/Ps sums in fixed partition order, so the merged
-        // counters are independent of how many OS threads ran the epochs.
+        // Exact integer/Ps sums in fixed partition order.
         let events_scheduled: u64 = parts.iter().map(|p| p.events.total_scheduled()).sum();
         let ev_wake: u64 = parts.iter().map(|p| p.ev_wake).sum();
         let ev_mem: u64 = parts.iter().map(|p| p.ev_mem).sum();
@@ -780,7 +642,7 @@ impl<'w> NmpSystem<'w> {
         s.set("dram.reads", dram_reads as f64);
         s.set("dram.writes", dram_writes as f64);
         // L1 rates are summed in *global* thread order (f64 addition is
-        // order-sensitive) so the mean matches at every thread count.
+        // order-sensitive), independent of how threads map to partitions.
         let mut l1h = 0.0;
         for g in 0..threads_total {
             l1h += parts[sh.placement[g]].l1[sh.local_of[g]].hit_rate();
@@ -796,96 +658,19 @@ impl<'w> NmpSystem<'w> {
     }
 }
 
-/// A sense-reversing epoch barrier with an adaptive wait strategy.
-///
-/// Epochs are microseconds of work, and a run crosses the barrier hundreds
-/// of thousands of times, so the barrier itself is on the critical path.
-/// Two regimes:
-///
-/// * **Spin** — when the machine has a core for every participant, waiters
-///   busy-wait: the release lands within the spin window and the crossing
-///   costs nanoseconds instead of a futex park/unpark round-trip (which
-///   alone can outweigh an epoch).
-/// * **Park** — when participants outnumber cores (including single-core
-///   machines), a spinning waiter only steals cycles from the thread it is
-///   waiting *for*; waiters block on a condvar instead and the barrier
-///   behaves like `std::sync::Barrier`.
-///
-/// The regime is picked once at construction from
-/// `available_parallelism()`. Timing-only: results are byte-identical
-/// either way.
-struct SpinBarrier {
-    n: usize,
-    spin: bool,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    // Parking path. The generation bump happens under this lock so a
-    // parked waiter cannot miss the wakeup.
-    gate: Mutex<()>,
-    release: Condvar,
-}
-
-impl SpinBarrier {
-    /// Spin iterations between yields on the spin path — a safety valve
-    /// for transient oversubscription (another process taking a core).
-    const SPINS_PER_YIELD: u32 = 4096;
-
-    fn new(n: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        SpinBarrier {
-            n,
-            spin: cores >= n,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            gate: Mutex::new(()),
-            release: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            // Last arrival: reset the count *before* opening the gate, so
-            // by the time any waiter re-enters `wait`, the count is fresh.
-            self.arrived.store(0, Ordering::Relaxed);
-            if self.spin {
-                self.generation.fetch_add(1, Ordering::Release);
-            } else {
-                let _g = self.gate.lock().expect("barrier gate poisoned");
-                self.generation.fetch_add(1, Ordering::Release);
-                self.release.notify_all();
-            }
-        } else if self.spin {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins.is_multiple_of(Self::SPINS_PER_YIELD) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        } else {
-            let mut g = self.gate.lock().expect("barrier gate poisoned");
-            while self.generation.load(Ordering::Acquire) == gen {
-                g = self.release.wait(g).expect("barrier gate poisoned");
-            }
-        }
-    }
-}
-
 /// Decides what the next epoch is: inspects every partition's clock, queue,
-/// and progress counters (all partitions are parked, so the locks are
-/// uncontended) and applies the run-level checks in a fixed order — done,
-/// backstop, configured budget, deadlock.
-fn epoch_plan(parts: &[Mutex<DimmPart>], cfg: &SystemConfig, lookahead: Ps) -> Plan {
+/// and progress counters and applies the run-level checks in a fixed order —
+/// done, backstop, configured budget, deadlock.
+///
+/// # Panics
+/// Panics on deadlock: no pending event anywhere while threads are live.
+fn epoch_plan(parts: &[DimmPart], cfg: &SystemConfig, lookahead: Ps) -> Plan {
     let mut done = 0;
     let mut total = 0;
     let mut scheduled = 0u64;
     let mut next = Ps::MAX;
     let mut high = Ps::ZERO;
-    for part in parts {
-        let p = part.lock().expect("partition lock poisoned");
+    for p in parts {
         done += p.done;
         total += p.threads.len();
         scheduled += p.events.total_scheduled();
@@ -903,51 +688,32 @@ fn epoch_plan(parts: &[Mutex<DimmPart>], cfg: &SystemConfig, lookahead: Ps) -> P
     if let Some(kind) = cfg.budget.check(scheduled, high) {
         return Plan::Stop(RunStatus::BudgetExceeded(kind));
     }
-    if next == Ps::MAX {
-        return Plan::Fail(format!(
-            "deadlock: {done} of {total} threads finished (unbalanced barriers?)"
-        ));
-    }
+    assert!(
+        next != Ps::MAX,
+        "deadlock: {done} of {total} threads finished (unbalanced barriers?)"
+    );
     Plan::Run(next + lookahead)
 }
 
 /// The epoch barrier: drains every outbox, merges the envelopes into the
 /// canonical `(time, source, sequence)` order, performs the shared-model
 /// reservations in that order, and pushes the resulting deliveries into the
-/// target partitions — never earlier than the epoch boundary, so the next
-/// epoch's plan sees a consistent frontier at any thread count.
+/// target partitions — never earlier than the epoch boundary, so no
+/// partition receives an event behind its own clock.
 fn run_barrier_phase(
-    parts: &[Mutex<DimmPart>],
+    parts: &mut [DimmPart],
     sh: &Shared<'_>,
     coord: &mut Coordinator,
     epoch_end: Ps,
 ) {
-    let batches: Vec<Vec<Envelope<Intent>>> = parts
-        .iter()
-        .map(|p| p.lock().expect("partition lock poisoned").outbox.drain())
-        .collect();
+    let batches: Vec<Vec<Envelope<Intent>>> = parts.iter_mut().map(|p| p.outbox.drain()).collect();
     let merged = merge_epoch(batches);
     let mut deliveries: Vec<(usize, Ps, XEvent)> = Vec::new();
     for env in &merged {
         coord.apply(sh, env, &mut deliveries);
     }
     for (dimm, at, x) in deliveries {
-        parts[dimm]
-            .lock()
-            .expect("partition lock poisoned")
-            .events
-            .push(at.max(epoch_end), Ev::Deliver(x));
-    }
-}
-
-/// Renders a worker panic payload for re-raising on the coordinator.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "simulation worker panicked".to_string()
+        parts[dimm].events.push(at.max(epoch_end), Ev::Deliver(x));
     }
 }
 
@@ -1872,25 +1638,6 @@ mod tests {
         let cfg = SystemConfig::nmp(4, 2);
         let placement = vec![0; 16]; // 16 threads on DIMM 0's 4 cores
         let _ = NmpSystem::new(&wl, &cfg, &placement, None);
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential() {
-        let params = quick_params(4);
-        let wl = synth::uniform_random(&params, 300, 0.6);
-        let cfg = SystemConfig::nmp(4, 2).with_idc(IdcKind::DimmLink);
-        let placement = natural_placement(&wl);
-        let seq = NmpSystem::new(&wl, &cfg, &placement, None).run();
-        for threads in [2, 4, 8] {
-            let par = NmpSystem::new(&wl, &cfg, &placement, None).run_with(threads);
-            assert_eq!(seq.elapsed, par.elapsed, "sim-threads={threads}");
-            assert_eq!(
-                format!("{:?}", seq.stats),
-                format!("{:?}", par.stats),
-                "sim-threads={threads}"
-            );
-            assert_eq!(seq.profile, par.profile, "sim-threads={threads}");
-        }
     }
 
     /// Satellite: a core woken twice at the same timestamp must execute its

@@ -8,9 +8,7 @@
 //! this test is designed to catch if it ever regresses.
 
 use dimm_link::config::{IdcKind, PlacementPolicy, SystemConfig};
-use dimm_link::runner::{
-    simulate, simulate_optimized, simulate_optimized_with, simulate_with, RunResult,
-};
+use dimm_link::runner::{simulate, simulate_optimized, RunResult};
 use dl_workloads::{WorkloadKind, WorkloadParams};
 
 /// Serializes everything observable about a run into one comparable blob.
@@ -61,47 +59,6 @@ fn repeated_runs_are_byte_identical_across_idc_mechanisms() {
                 "{idc:?} run {i} diverged"
             );
         }
-    }
-}
-
-#[test]
-fn parallel_runs_are_byte_identical_to_sequential() {
-    // The partitioned engine must be exact, not approximately equal: the
-    // fingerprint covers every statistic, so a single reordered f64
-    // accumulation or a late cross-partition delivery shows up here.
-    let wl = WorkloadKind::Pagerank.build(&workload_params(8));
-    for idc in [
-        IdcKind::CpuForwarding,
-        IdcKind::DedicatedBus,
-        IdcKind::AbcDimm,
-        IdcKind::DimmLink,
-    ] {
-        let cfg = SystemConfig::nmp(8, 4).with_idc(idc);
-        let golden = fingerprint(&simulate(&wl, &cfg));
-        for sim_threads in [2, 4] {
-            assert_eq!(
-                golden,
-                fingerprint(&simulate_with(&wl, &cfg, sim_threads)),
-                "{idc:?} diverged at --sim-threads {sim_threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_optimized_pipeline_matches_sequential() {
-    // Profiling run, placement solve, and measured run all execute under
-    // the parallel engine; the end-to-end fingerprint must still match.
-    let wl = WorkloadKind::Sssp.build(&workload_params(8));
-    let mut cfg = SystemConfig::nmp(8, 4).with_idc(IdcKind::DimmLink);
-    cfg.placement = PlacementPolicy::Random;
-    let golden = fingerprint(&simulate_optimized(&wl, &cfg));
-    for sim_threads in [2, 4] {
-        assert_eq!(
-            golden,
-            fingerprint(&simulate_optimized_with(&wl, &cfg, sim_threads)),
-            "optimized pipeline diverged at --sim-threads {sim_threads}"
-        );
     }
 }
 

@@ -1,4 +1,4 @@
-//! Conservative parallel-DES building blocks: cross-partition envelopes,
+//! Partitioned-epoch DES building blocks: cross-partition envelopes,
 //! per-partition outboxes, and the deterministic epoch merge.
 //!
 //! The simulation core partitions system state (one partition per DIMM) and
@@ -9,11 +9,11 @@
 //! epoch barrier every outbox is drained and the collected [`Envelope`]s
 //! are merged into one totally ordered batch by
 //! `(timestamp, source partition id, source sequence number)` — see
-//! [`merge_epoch`]. Because each component of that key is deterministic
-//! (virtual time, fixed partitioning, per-source FIFO counter), the merged
-//! order is independent of how many OS threads executed the epoch, which
-//! is what makes the parallel engine byte-identical at any `--sim-threads`
-//! value.
+//! [`merge_epoch`]. Each component of that key is deterministic (virtual
+//! time, fixed partitioning, per-source FIFO counter), so the merged order
+//! — the order in which cross-partition effects claim shared resources —
+//! is a pure function of the simulated run and independent of the order in
+//! which partitions were advanced within the epoch.
 //!
 //! # Examples
 //!
@@ -44,7 +44,7 @@ use crate::Ps;
 pub struct Envelope<T> {
     /// Virtual time the message takes effect at the destination.
     pub at: Ps,
-    /// Source partition id (the fixed logical partition, not an OS thread).
+    /// Source partition id.
     pub src: usize,
     /// Monotone per-source sequence number; breaks `(at, src)` ties in
     /// emission order.

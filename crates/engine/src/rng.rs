@@ -106,7 +106,7 @@ mod audit {
 
     thread_local! {
         /// derived seed → (parent seed, label) that first claimed it.
-        static STREAMS: RefCell<BTreeMap<u64, (u64, String)>> = RefCell::new(BTreeMap::new());
+        static STREAMS: RefCell<BTreeMap<u64, (u64, String)>> = const { RefCell::new(BTreeMap::new()) };
     }
 
     pub(super) fn record_stream(derived: u64, parent: u64, label: &str) {
