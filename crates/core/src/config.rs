@@ -307,6 +307,9 @@ impl SystemConfig {
         {
             return Err("proxy polling requires the DIMM-Link mechanism".into());
         }
+        if self.nmp_mlp == 0 {
+            return Err("nmp_mlp must be >= 1".into());
+        }
         if !(0.0..=1.0).contains(&self.profile_fraction) {
             return Err("profile_fraction must be in [0,1]".into());
         }
@@ -381,6 +384,29 @@ impl HostConfig {
             },
         }
     }
+
+    /// Validates the host's sizes and its DRAM and cache configurations.
+    ///
+    /// # Errors
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("cores", self.cores),
+            ("mlp", self.mlp),
+            ("channels", self.channels),
+        ] {
+            if v == 0 {
+                return Err(format!("host {name} must be >= 1"));
+            }
+        }
+        if self.channel_bandwidth == 0 {
+            return Err("host channel bandwidth must be non-zero".into());
+        }
+        self.dram.validate()?;
+        self.l1.validate()?;
+        self.llc.validate()?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +479,39 @@ mod tests {
         let mut cfg = SystemConfig::nmp(16, 8);
         cfg.cxl_bandwidth = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_nmp_mlp() {
+        let mut cfg = SystemConfig::nmp(16, 8);
+        cfg.nmp_mlp = 0;
+        assert_eq!(cfg.validate(), Err("nmp_mlp must be >= 1".into()));
+    }
+
+    #[test]
+    fn host_baseline_validates() {
+        HostConfig::xeon_16core().validate().unwrap();
+    }
+
+    #[test]
+    fn host_validate_rejects_each_bad_field() {
+        let rejects = |want: &str, spoil: fn(&mut HostConfig)| {
+            let mut h = HostConfig::xeon_16core();
+            spoil(&mut h);
+            let err = h.validate().expect_err(want);
+            assert!(err.contains(want), "{err:?} should mention {want:?}");
+        };
+        rejects("host cores must be >= 1", |h| h.cores = 0);
+        rejects("host mlp must be >= 1", |h| h.mlp = 0);
+        rejects("host channels must be >= 1", |h| h.channels = 0);
+        rejects("host channel bandwidth must be non-zero", |h| {
+            h.channel_bandwidth = 0
+        });
+        rejects("hit_streak_cap must be >= 1", |h| h.dram.hit_streak_cap = 0);
+        rejects("ways must be >= 1", |h| h.l1.ways = 0);
+        rejects("line_bytes must be a non-zero power of two", |h| {
+            h.llc.line_bytes = 48
+        });
     }
 
     #[test]

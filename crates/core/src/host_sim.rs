@@ -58,9 +58,10 @@ pub struct HostRun {
 /// runner does this).
 ///
 /// # Panics
-/// Panics if the workload has more threads than the host has cores, or on
-/// deadlock.
+/// Panics if `cfg` is invalid (see [`HostConfig::validate`]), if the
+/// workload has more threads than the host has cores, or on deadlock.
 pub fn simulate_host(workload: &Workload, cfg: &HostConfig) -> HostRun {
+    cfg.validate().expect("invalid host configuration");
     assert!(
         workload.traces().len() <= cfg.cores,
         "host has {} cores but the workload has {} threads",
@@ -346,8 +347,7 @@ impl<'w> HostSystem<'w> {
         // the return-path latency added.
         let lat = self.cfg.channel_latency;
         for comp in self.mcs[ch].service(self.now) {
-            if let Some(&(c, _)) = self.txns.get(&comp.id) {
-                let _ = c;
+            if self.txns.contains_key(&comp.id) {
                 self.events.push(self.now + lat, Ev::Done(comp.id));
             }
         }
@@ -475,6 +475,17 @@ mod tests {
         let b = simulate_host(&remote, &cfg);
         let ratio = a.elapsed.as_ps() as f64 / b.elapsed.as_ps() as f64;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid host configuration")]
+    fn zero_channels_rejected_before_simulating() {
+        let wl = synth::uniform_random(&host_params(), 10, 0.0);
+        let cfg = HostConfig {
+            channels: 0,
+            ..HostConfig::xeon_16core()
+        };
+        let _ = simulate_host(&wl, &cfg);
     }
 
     #[test]

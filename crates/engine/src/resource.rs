@@ -30,11 +30,14 @@ const RETENTION: Ps = Ps::from_us(50);
 /// The retained busy intervals are sorted, disjoint and never touch (an
 /// insert merges touching neighbours), so their *ends* are sorted as well.
 /// Every reservation therefore finds the first interval ending after its
-/// request time by binary search, `O(log n)` in the `n` intervals retained
-/// over the last [`RETENTION`], and scans forward only over the intervals
-/// it has to skip or fill. Inserting an interval that extends one
-/// neighbour updates it in place; only a segment standing alone, or one
-/// joining two neighbours, shifts the deque.
+/// request time, and every insert its position, by a search from the tail:
+/// `O(log d)` for an answer `d` intervals from the back, at most
+/// `O(log n)` in the `n` intervals retained over the last [`RETENTION`].
+/// Requests arrive close to the newest reservations, so `d` is usually 0
+/// or 1. A reservation then scans forward only over the intervals it has
+/// to skip or fill. Inserting an interval that extends one neighbour
+/// updates it in place; only a segment standing alone, or one joining two
+/// neighbours, shifts the deque.
 ///
 /// # Examples
 ///
@@ -174,7 +177,42 @@ impl Resource {
     /// The intervals are sorted and disjoint, so their ends are sorted too
     /// and the intervals ending at or before `now` form a prefix.
     fn first_ending_after(&self, now: Ps) -> usize {
-        self.intervals.partition_point(|&(_, e)| e <= now)
+        self.ends_partition_point(|e| e <= now)
+    }
+
+    /// The length of the prefix of retained intervals whose ends satisfy
+    /// `pred`, which must hold on a prefix of the (sorted) ends: the index
+    /// `partition_point` returns, searched from the tail.
+    ///
+    /// Requests arrive near the newest reservations, so the answer lies
+    /// close to the back. Probing 1, 2, 4, … intervals back from the tail
+    /// and bisecting the last step costs `O(log d)` for an answer `d`
+    /// intervals from the back, instead of `O(log n)` over all of them.
+    fn ends_partition_point(&self, pred: impl Fn(Ps) -> bool) -> usize {
+        // Every interval at or after `hi` fails `pred`.
+        let mut hi = self.intervals.len();
+        let mut step = 1;
+        // Every interval before `lo` satisfies `pred`.
+        let mut lo = loop {
+            if hi == 0 {
+                return 0;
+            }
+            let probe = hi.saturating_sub(step);
+            if pred(self.intervals[probe].1) {
+                break probe + 1;
+            }
+            hi = probe;
+            step *= 2;
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.intervals[mid].1) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Inserts busy interval `[start, end)`, merging with neighbours, and
@@ -195,7 +233,7 @@ impl Resource {
             );
         }
         // Intervals in `pos..touch_end` overlap or touch `[start, end)`.
-        let pos = self.intervals.partition_point(|&(_, e)| e < start);
+        let pos = self.ends_partition_point(|e| e < start);
         let touch_end = pos
             + self
                 .intervals
@@ -985,17 +1023,25 @@ mod tests {
 
         /// A request time drawn against the current schedule: inside, at
         /// the start or end of, just before or after a busy interval, at
-        /// the edge of the retained window, near the high-water mark, or
-        /// far in the future (which prunes the schedule on the next
-        /// request). It is then lifted to the pruned horizon, because an
-        /// earlier request breaks the contract and panics in debug and
-        /// audit builds.
+        /// the edge of the retained window, near the high-water mark, far
+        /// in the future (which prunes the schedule on the next request),
+        /// or far back from the tail: at or inside the interval 2^k back,
+        /// or the first one retained (just after a prune, the furthest
+        /// back a request may go). It is then lifted to the pruned
+        /// horizon, because an earlier request breaks the contract and
+        /// panics in debug and audit builds.
         fn request_time(&self, at: u8, bits: u64) -> Ps {
             let jitter = Ps::from_ps(bits % 20_000);
-            let (s, e) = if self.intervals.is_empty() {
-                (Ps::ZERO, Ps::ZERO)
-            } else {
-                self.intervals[(bits >> 20) as usize % self.intervals.len()]
+            let interval = |idx: usize| {
+                self.intervals
+                    .get(idx.min(self.intervals.len().saturating_sub(1)))
+                    .copied()
+                    .unwrap_or((Ps::ZERO, Ps::ZERO))
+            };
+            let (s, e) = interval((bits >> 20) as usize % self.intervals.len().max(1));
+            let (deep_s, deep_e) = match at {
+                7 => interval(self.intervals.len().saturating_sub(1 << ((bits >> 4) % 12))),
+                _ => interval(0),
             };
             let now = match at {
                 0 if e > s => s + Ps::from_ps(bits % (e - s).as_ps()),
@@ -1005,6 +1051,8 @@ mod tests {
                 4 => self.free_at() + jitter,
                 5 => self.high_water.saturating_sub(RETENTION),
                 6 => self.high_water + RETENTION + Ps::from_ps(bits % RETENTION.as_ps()),
+                7 | 8 if bits & 1 == 0 => deep_s,
+                7 | 8 => deep_s + Ps::from_ps((bits >> 1) % (deep_e - deep_s).as_ps().max(1)),
                 _ => self.high_water.saturating_sub(Ps::from_ps(bits % 40_000)) + jitter,
             };
             now.max(self.horizon_at(now))
@@ -1025,18 +1073,52 @@ mod tests {
         })
     }
 
+    /// Makes the same request of `r` and `m` and asserts that they return
+    /// the same span and leave the same schedule and counters.
+    fn same_step(
+        r: &mut Resource,
+        m: &mut ScanModel,
+        call: &str,
+        split: bool,
+        now: Ps,
+        dur: Ps,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (got, want) = if split {
+            (
+                r.reserve_split_with_start(now, dur),
+                m.reserve_split(now, dur),
+            )
+        } else {
+            (r.reserve_with_start(now, dur), m.reserve(now, dur))
+        };
+        let call = format!("{call}: split={split} now={now} dur={dur}");
+        proptest::prop_assert_eq!(got, want, "{call}");
+        proptest::prop_assert_eq!(r.busy_time(), m.busy, "{call}");
+        proptest::prop_assert_eq!(r.free_at(), m.free_at(), "{call}");
+        proptest::prop_assert_eq!(r.reservations(), m.reservations, "{call}");
+        proptest::prop_assert_eq!(r.out_of_window(), m.out_of_window, "{call}");
+        proptest::prop_assert_eq!(&r.intervals, &m.intervals, "{call}");
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// Both reservation paths return exactly what the front-to-back
         /// scan returns, and leave the same schedule and counters, after
         /// every call of a random mix of contiguous and split requests.
+        ///
+        /// The mix starts on a comb of up to 511 disjoint reservations,
+        /// one every `pitch` ns, so the schedule is long enough (and, past
+        /// 50 us, pruned) for requests far back from the tail to exercise
+        /// every step of the tail search.
         #[test]
         fn matches_the_front_to_back_scan(
+            (teeth, pitch) in (0u64..512, 1u64..200),
             requests in proptest::prop::collection::vec(
                 (
                     proptest::prelude::any::<bool>(),
-                    0u8..10,
+                    0u8..12,
                     0u8..5,
                     proptest::prelude::any::<u64>(),
                 ),
@@ -1045,21 +1127,14 @@ mod tests {
         ) {
             let mut r = Resource::new("r");
             let mut m = ScanModel::default();
+            for t in 0..teeth {
+                let (now, dur) = (Ps::from_ns(pitch * t), Ps::from_ps(pitch * 500));
+                same_step(&mut r, &mut m, &format!("tooth {t}"), false, now, dur)?;
+            }
             for (i, &(split, at, class, bits)) in requests.iter().enumerate() {
                 let now = m.request_time(at, bits);
                 let dur = duration(&m, now, class, bits.rotate_left(17));
-                let (got, want) = if split {
-                    (r.reserve_split_with_start(now, dur), m.reserve_split(now, dur))
-                } else {
-                    (r.reserve_with_start(now, dur), m.reserve(now, dur))
-                };
-                let call = format!("call {i}: split={split} now={now} dur={dur}");
-                proptest::prop_assert_eq!(got, want, "{call}");
-                proptest::prop_assert_eq!(r.busy_time(), m.busy, "{call}");
-                proptest::prop_assert_eq!(r.free_at(), m.free_at(), "{call}");
-                proptest::prop_assert_eq!(r.reservations(), m.reservations, "{call}");
-                proptest::prop_assert_eq!(r.out_of_window(), m.out_of_window, "{call}");
-                proptest::prop_assert_eq!(&r.intervals, &m.intervals, "{call}");
+                same_step(&mut r, &mut m, &format!("call {i}"), split, now, dur)?;
             }
         }
     }

@@ -12,6 +12,16 @@
 //! serialization of bursts, and periodic refresh (tREFI/tRFC). FR-FCFS
 //! prefers row hits over older requests, with a configurable hit-streak cap
 //! to avoid starving row-conflict requests.
+//!
+//! Waiting requests sit in one FIFO per bank, in arrival order, and carry a
+//! global arrival number. Each bank with waiting requests offers one
+//! candidate (its oldest row hit while the hit streak is below the cap,
+//! otherwise its oldest request); among the candidates legal at `now`, the
+//! smallest arrival number issues. One `service` call therefore costs, per
+//! issued request, one pass over the banks with waiting requests plus a
+//! scan of each open bank's FIFO for its oldest hit, and one final pass
+//! that evaluates at most three command plans per waiting bank (row-hit
+//! read, row-hit write, anything else) to find the next wake time.
 
 use crate::address::DimmAddr;
 use crate::timing::{DramConfig, RowPolicy};
@@ -96,6 +106,8 @@ struct Rank {
 struct Pending {
     req: MemRequest,
     arrival: Ps,
+    /// Enqueue order over the whole controller: the FR-FCFS age.
+    seq: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -124,14 +136,23 @@ impl Ord for Finish {
 
 /// FR-FCFS memory controller for one DIMM.
 ///
-/// See the [module documentation](self) for the driving protocol.
+/// Requests wait in per-bank FIFOs; the bank is decoded once, at
+/// [`enqueue`](MemController::enqueue). Ties between banks go to the
+/// request that arrived first. See the [module documentation](self) for
+/// the driving protocol and the cost of a [`service`](MemController::service)
+/// call.
 #[derive(Debug)]
 pub struct MemController {
     name: String,
     cfg: DramConfig,
     banks: Vec<Bank>,
     ranks: Vec<Rank>,
-    queue: VecDeque<Pending>,
+    /// Waiting requests of each flat bank, oldest first.
+    queues: Vec<VecDeque<Pending>>,
+    /// Flat banks whose FIFO is non-empty, in no particular order.
+    waiting: Vec<usize>,
+    /// Arrival number of the next enqueued request.
+    next_seq: u64,
     finishes: BinaryHeap<Reverse<Finish>>,
     next_wake: Option<Ps>,
     // statistics
@@ -160,11 +181,14 @@ impl MemController {
                 next_refresh: cfg.timing.t(cfg.timing.refi),
             })
             .collect();
+        let total_banks = cfg.total_banks() as usize;
         MemController {
             cfg: *cfg,
-            banks: vec![Bank::closed(); cfg.total_banks() as usize],
+            banks: vec![Bank::closed(); total_banks],
             ranks,
-            queue: VecDeque::new(),
+            queues: vec![VecDeque::new(); total_banks],
+            waiting: Vec::with_capacity(total_banks),
+            next_seq: 0,
             finishes: BinaryHeap::new(),
             next_wake: None,
             reads: 0,
@@ -181,14 +205,24 @@ impl MemController {
     /// Queues a request. Call [`service`](MemController::service) afterwards
     /// (with the same `now`) to let it issue.
     pub fn enqueue(&mut self, now: Ps, req: MemRequest) {
-        self.queue.push_back(Pending { req, arrival: now });
+        let flat = req.addr.flat_bank(&self.cfg);
+        if self.queues[flat].is_empty() {
+            self.waiting.push(flat);
+        }
+        self.queues[flat].push_back(Pending {
+            req,
+            arrival: now,
+            seq: self.next_seq,
+        });
+        self.next_seq += 1;
         // Force a re-evaluation no later than now.
         self.next_wake = Some(self.next_wake.map_or(now, |w| w.min(now)));
     }
 
     /// Number of requests waiting or in flight.
     pub fn inflight(&self) -> usize {
-        self.queue.len() + self.finishes.len()
+        let queued: usize = self.waiting.iter().map(|&b| self.queues[b].len()).sum();
+        queued + self.finishes.len()
     }
 
     /// Issues every command sequence legal at `now` and returns requests
@@ -197,12 +231,52 @@ impl MemController {
         self.apply_refreshes(now);
 
         // Issue as long as something can start now.
-        while let Some((idx, plan)) = self.pick(now) {
-            let pending = self.queue.remove(idx).expect("picked index in range");
-            self.issue(now, pending, plan);
+        while let Some((flat, pos, plan)) = self.pick(now) {
+            let pending = self.queues[flat]
+                .remove(pos)
+                .expect("picked index in range");
+            if self.queues[flat].is_empty() {
+                let w = self.waiting.iter().position(|&b| b == flat);
+                self.waiting
+                    .swap_remove(w.expect("a waiting bank is listed"));
+            }
+            self.issue(flat, pending, plan);
         }
 
-        // Pop completions.
+        let done = self.pop_completions(now);
+
+        // Cache the next interesting time. Times at or before `now` are
+        // ignored (they belong to requests that are blocked behind their
+        // bank's chosen candidate; the candidate's own future time, or a
+        // pending completion, covers the bank's progress). Every request of
+        // a bank shares one of at most three plans: a row-hit read, a
+        // row-hit write, or anything else (a closed bank has only the
+        // last), so the first request of each kind stands for the rest.
+        let mut wake = self.finish_or_refresh_wake(now, !self.waiting.is_empty());
+        for &flat in &self.waiting {
+            let open_row = self.banks[flat].open_row;
+            let mut reps: [Option<&MemRequest>; 3] = [None; 3];
+            for p in &self.queues[flat] {
+                let class = match p.req.kind {
+                    _ if open_row != Some(p.req.addr.row) => 2,
+                    AccessKind::Read => 0,
+                    AccessKind::Write => 1,
+                };
+                reps[class].get_or_insert(&p.req);
+                if open_row.is_none() || reps.iter().all(Option::is_some) {
+                    break;
+                }
+            }
+            for req in reps.into_iter().flatten() {
+                consider_wake(&mut wake, now, self.plan_for(flat, req, now).first_cmd_at);
+            }
+        }
+        self.next_wake = wake;
+        done
+    }
+
+    /// Pops the completions due at or before `now`, in finish order.
+    fn pop_completions(&mut self, now: Ps) -> Vec<Completion> {
         let mut done = Vec::new();
         while let Some(&Reverse(f)) = self.finishes.peek() {
             if f.at > now {
@@ -215,32 +289,24 @@ impl MemController {
                 row_hit: f.row_hit,
             });
         }
+        done
+    }
 
-        // Cache the next interesting time. Times at or before `now` are
-        // ignored (they belong to requests that are blocked behind their
-        // bank's chosen candidate; the candidate's own future time, or a
-        // pending completion, covers the bank's progress).
-        let mut wake: Option<Ps> = None;
-        let consider = |t: Ps, wake: &mut Option<Ps>| {
-            if t > now {
-                *wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        };
+    /// The earliest pending completion or, while any request is waiting
+    /// (`queued`) or in flight, refresh after `now`: the part of the next
+    /// wake time that does not depend on the waiting requests' plans.
+    fn finish_or_refresh_wake(&self, now: Ps, queued: bool) -> Option<Ps> {
+        let mut wake = None;
         if let Some(Reverse(f)) = self.finishes.peek() {
-            consider(f.at, &mut wake);
+            consider_wake(&mut wake, now, f.at);
         }
-        for p in &self.queue {
-            let plan = self.plan_for(&p.req, now);
-            consider(plan.first_cmd_at, &mut wake);
-        }
-        if !self.queue.is_empty() || !self.finishes.is_empty() {
+        if queued || !self.finishes.is_empty() {
             // Refresh only matters while work is pending.
             if let Some(refr) = self.ranks.iter().map(|r| r.next_refresh).min() {
-                consider(refr, &mut wake);
+                consider_wake(&mut wake, now, refr);
             }
         }
-        self.next_wake = wake;
-        done
+        wake
     }
 
     /// The next time `service` would make progress, cached by the last
@@ -283,8 +349,10 @@ impl MemController {
         earliest
     }
 
-    fn plan_for(&self, req: &MemRequest, now: Ps) -> Plan {
-        let bank = &self.banks[req.addr.flat_bank(&self.cfg)];
+    /// The first command a request to flat bank `flat` needs, and when it
+    /// may issue at the earliest.
+    fn plan_for(&self, flat: usize, req: &MemRequest, now: Ps) -> Plan {
+        let bank = &self.banks[flat];
         let rank = req.addr.rank as usize;
         match bank.open_row {
             Some(row) if row == req.addr.row => Plan {
@@ -315,52 +383,45 @@ impl MemController {
         }
     }
 
-    /// FR-FCFS pick with per-bank fairness.
+    /// FR-FCFS pick with per-bank fairness: returns the flat bank, the
+    /// position in its FIFO and the plan of the request to issue.
     ///
     /// Each bank independently selects its next request: the oldest row hit
     /// while the bank's hit streak is below the cap, otherwise the oldest
     /// request for that bank (so capped banks drain conflicts instead of
     /// starving them behind an endless stream of ready hits). Among the
-    /// per-bank candidates, the first one legal at `now` is issued.
-    fn pick(&self, now: Ps) -> Option<(usize, Plan)> {
-        // flat_bank -> chosen queue index (oldest or oldest-hit).
-        let mut candidate: Vec<Option<usize>> = vec![None; self.banks.len()];
-        for (i, p) in self.queue.iter().enumerate() {
-            let flat = p.req.addr.flat_bank(&self.cfg);
+    /// per-bank candidates legal at `now`, the one that arrived first is
+    /// issued.
+    fn pick(&self, now: Ps) -> Option<(usize, usize, Plan)> {
+        let mut best: Option<(u64, usize, usize, Plan)> = None;
+        for &flat in &self.waiting {
+            let queue = &self.queues[flat];
             let bank = &self.banks[flat];
-            let is_hit = bank.open_row == Some(p.req.addr.row);
-            let hits_allowed = bank.hit_streak < self.cfg.hit_streak_cap;
-            match candidate[flat] {
-                None => candidate[flat] = Some(i),
-                Some(cur) => {
-                    // Upgrade the oldest non-hit to the oldest hit while the
-                    // streak cap permits hit-first scheduling.
-                    let cur_hit = bank.open_row == Some(self.queue[cur].req.addr.row);
-                    if hits_allowed && is_hit && !cur_hit {
-                        candidate[flat] = Some(i);
-                    }
-                }
+            let is_hit = |p: &Pending| bank.open_row == Some(p.req.addr.row);
+            let mut pos = 0;
+            if bank.open_row.is_some()
+                && bank.hit_streak < self.cfg.hit_streak_cap
+                && !is_hit(&queue[0])
+            {
+                pos = queue.iter().position(is_hit).unwrap_or(0);
             }
-        }
-        let mut best: Option<(usize, Plan)> = None;
-        for i in candidate.into_iter().flatten() {
-            let plan = self.plan_for(&self.queue[i].req, now);
-            if plan.first_cmd_at > now {
+            let cand = &queue[pos];
+            if best.is_some_and(|(seq, ..)| seq < cand.seq) {
                 continue;
             }
-            // Prefer the oldest issuable candidate for determinism.
-            if best.is_none_or(|(b, _)| i < b) {
-                best = Some((i, plan));
+            let plan = self.plan_for(flat, &cand.req, now);
+            if plan.first_cmd_at <= now {
+                best = Some((cand.seq, flat, pos, plan));
             }
         }
-        best
+        best.map(|(_, flat, pos, plan)| (flat, pos, plan))
     }
 
-    fn issue(&mut self, now: Ps, pending: Pending, plan: Plan) {
+    /// Issues `pending`, waiting at flat bank `flat`, along `plan`.
+    fn issue(&mut self, flat: usize, pending: Pending, plan: Plan) {
         let t = self.cfg.timing;
         let req = pending.req;
         let rank_idx = req.addr.rank as usize;
-        let flat = req.addr.flat_bank(&self.cfg);
 
         // Command schedule.
         let cas_at = if plan.hit {
@@ -397,10 +458,7 @@ impl MemController {
         // path) bursts of different ranks overlap; otherwise all ranks share
         // one data bus (a conventional DIMM/channel).
         let bus_rank = if self.cfg.bus_per_rank { rank_idx } else { 0 };
-        let (burst_start, burst_end) = {
-            let rank = &mut self.ranks[bus_rank];
-            rank.bus.reserve_with_start(data_start, t.t(t.bl))
-        };
+        let burst_end = self.ranks[bus_rank].bus.reserve(data_start, t.t(t.bl));
 
         // Bank bookkeeping.
         let bank = &mut self.banks[flat];
@@ -432,7 +490,6 @@ impl MemController {
             bank.hit_streak = 0;
             bank.pre_ready += t.t(t.rp);
         }
-        let _ = burst_start;
 
         self.queue_latency
             .record((burst_end.saturating_sub(pending.arrival)).as_ps());
@@ -441,7 +498,6 @@ impl MemController {
             id: req.id,
             row_hit: plan.hit,
         }));
-        let _ = now;
     }
 
     /// Total bytes moved (reads + writes, one line each).
@@ -502,6 +558,13 @@ impl MemController {
         s.set("row_hit_rate", self.row_hit_rate());
         s.set("avg_latency_ps", self.queue_latency.mean());
         s
+    }
+}
+
+/// Lowers `wake` to `t` if `t` lies after `now`.
+fn consider_wake(wake: &mut Option<Ps>, now: Ps, t: Ps) {
+    if t > now {
+        *wake = Some(wake.map_or(t, |w| w.min(t)));
     }
 }
 
@@ -781,6 +844,209 @@ mod tests {
         // After completion pops and queue empties, wake should clear.
         let _ = mc.service(Ps::from_ms(1));
         assert!(mc.next_wake().is_none());
+    }
+}
+
+/// The whole-queue FR-FCFS scheduler the per-bank FIFOs replaced, as the
+/// reference the differential test holds [`MemController`] to.
+#[cfg(test)]
+mod whole_queue_tests {
+    use super::*;
+    use crate::address::DimmAddressMap;
+    use crate::timing::MappingScheme;
+    use proptest::prelude::*;
+
+    /// One arrival-ordered queue, rescanned by every pick and by the wake
+    /// pass. It drives the bank, rank and timing state of an inner
+    /// controller (whose own FIFOs stay empty) through the same `issue`,
+    /// so it differs from [`MemController`] only in how it schedules.
+    struct WholeQueue {
+        mc: MemController,
+        queue: VecDeque<Pending>,
+    }
+
+    impl WholeQueue {
+        fn new(cfg: &DramConfig) -> Self {
+            WholeQueue {
+                mc: MemController::new("reference", cfg),
+                queue: VecDeque::new(),
+            }
+        }
+
+        fn enqueue(&mut self, now: Ps, req: MemRequest) {
+            self.queue.push_back(Pending {
+                req,
+                arrival: now,
+                seq: 0,
+            });
+            self.mc.next_wake = Some(self.mc.next_wake.map_or(now, |w| w.min(now)));
+        }
+
+        fn inflight(&self) -> usize {
+            self.queue.len() + self.mc.finishes.len()
+        }
+
+        fn service(&mut self, now: Ps) -> Vec<Completion> {
+            self.mc.apply_refreshes(now);
+            while let Some((idx, plan)) = self.pick(now) {
+                let pending = self.queue.remove(idx).expect("picked index in range");
+                let flat = pending.req.addr.flat_bank(&self.mc.cfg);
+                self.mc.issue(flat, pending, plan);
+            }
+            let done = self.mc.pop_completions(now);
+            let mut wake = self.mc.finish_or_refresh_wake(now, !self.queue.is_empty());
+            for p in &self.queue {
+                let flat = p.req.addr.flat_bank(&self.mc.cfg);
+                let plan = self.mc.plan_for(flat, &p.req, now);
+                consider_wake(&mut wake, now, plan.first_cmd_at);
+            }
+            self.mc.next_wake = wake;
+            done
+        }
+
+        fn pick(&self, now: Ps) -> Option<(usize, Plan)> {
+            let mc = &self.mc;
+            // flat_bank -> chosen queue index (oldest or oldest-hit).
+            let mut candidate: Vec<Option<usize>> = vec![None; mc.banks.len()];
+            for (i, p) in self.queue.iter().enumerate() {
+                let flat = p.req.addr.flat_bank(&mc.cfg);
+                let bank = &mc.banks[flat];
+                let is_hit = bank.open_row == Some(p.req.addr.row);
+                let hits_allowed = bank.hit_streak < mc.cfg.hit_streak_cap;
+                match candidate[flat] {
+                    None => candidate[flat] = Some(i),
+                    Some(cur) => {
+                        let cur_hit = bank.open_row == Some(self.queue[cur].req.addr.row);
+                        if hits_allowed && is_hit && !cur_hit {
+                            candidate[flat] = Some(i);
+                        }
+                    }
+                }
+            }
+            let mut best: Option<(usize, Plan)> = None;
+            for i in candidate.into_iter().flatten() {
+                let req = &self.queue[i].req;
+                let plan = mc.plan_for(req.addr.flat_bank(&mc.cfg), req, now);
+                if plan.first_cmd_at > now {
+                    continue;
+                }
+                if best.is_none_or(|(b, _)| i < b) {
+                    best = Some((i, plan));
+                }
+            }
+            best
+        }
+    }
+
+    /// The configurations the schedulers are compared under.
+    fn configs() -> Vec<DramConfig> {
+        let base = DramConfig::ddr4_2400_lrdimm();
+        let mut closed = base;
+        closed.row_policy = RowPolicy::Closed;
+        let mut xor = base;
+        xor.mapping = MappingScheme::BankXor;
+        let mut shared_bus = base;
+        shared_bus.bus_per_rank = false;
+        let mut cap1 = base;
+        cap1.hit_streak_cap = 1;
+        let mut cap16 = base;
+        cap16.hit_streak_cap = 16;
+        vec![base, closed, xor, shared_bus, cap1, cap16]
+    }
+
+    /// One step of a request stream, drawn as `(selector, bits, burst)`:
+    /// a burst of requests at the current time (selector 0..3), or a
+    /// `service` call at the next wake time (3..9), up to 60 ns later
+    /// (9..11) or one to three refresh intervals ahead (11).
+    type Step = (u8, u64, Vec<Request>);
+
+    /// `(write, hot, bits)`: three of every four requests go to one of
+    /// three hot rows in one of three hot banks, so the stream mixes row
+    /// hits with conflicts in one bank; the rest spread over every bank
+    /// and a thousand rows.
+    type Request = (bool, u8, u64);
+
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..12,
+            any::<u64>(),
+            prop::collection::vec((any::<bool>(), 0u8..4, any::<u64>()), 1..12),
+        )
+    }
+
+    fn check_stream(cfg: &DramConfig, steps: &[Step]) -> Result<(), TestCaseError> {
+        let map = DimmAddressMap::new(cfg);
+        let row_stride = cfg.total_banks() as u64 * cfg.row_bytes as u64;
+        let refi = cfg.timing.t(cfg.timing.refi);
+        let mut mc = MemController::new("under-test", cfg);
+        let mut reference = WholeQueue::new(cfg);
+        let mut now = Ps::ZERO;
+        let mut next_id = 0;
+        let mut calls = 0;
+        let mut service = |now: Ps, mc: &mut MemController, r: &mut WholeQueue| {
+            calls += 1;
+            let (got, want) = (mc.service(now), r.service(now));
+            let call = format!("{cfg:?}: service #{calls} at {now}");
+            prop_assert_eq!(got, want, "{}", call);
+            prop_assert_eq!(mc.next_wake(), r.mc.next_wake(), "{}", call);
+            prop_assert_eq!(mc.inflight(), r.inflight(), "{}", call);
+            Ok(())
+        };
+        for (selector, bits, burst) in steps {
+            match selector {
+                0..3 => {
+                    for &(write, hot, bits) in burst {
+                        let (banks, rows) = if hot < 3 { (3, 3) } else { (32, 1_000) };
+                        let bank = bits % banks;
+                        let row = (bits >> 8) % rows;
+                        let col = (bits >> 20) % 128;
+                        let kind = if write {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        };
+                        let off = row * row_stride + bank * cfg.row_bytes as u64 + col * 64;
+                        let req = MemRequest::new(next_id, kind, map.decode(off));
+                        next_id += 1;
+                        mc.enqueue(now, req);
+                        reference.enqueue(now, req);
+                        prop_assert_eq!(mc.next_wake(), reference.mc.next_wake());
+                        prop_assert_eq!(mc.inflight(), reference.inflight());
+                    }
+                }
+                3..9 => {
+                    if let Some(w) = mc.next_wake() {
+                        now = now.max(w);
+                    }
+                }
+                9..11 => now += Ps::from_ps(bits % 60_000),
+                _ => now += refi * (1 + bits % 3) + Ps::from_ps(bits % 1_000_000),
+            }
+            service(now, &mut mc, &mut reference)?;
+        }
+        while let Some(w) = mc.next_wake() {
+            now = now.max(w);
+            service(now, &mut mc, &mut reference)?;
+        }
+        prop_assert_eq!(mc.inflight(), 0);
+        prop_assert_eq!(mc.stats(), reference.mc.stats(), "{:?}", cfg);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-bank scheduler returns the same completions, wake times
+        /// and occupancy as the whole-queue one after every call, and ends
+        /// with the same counters, under every configuration.
+        #[test]
+        fn matches_the_whole_queue_scheduler(
+            steps in prop::collection::vec(step(), 1..200),
+        ) {
+            for cfg in configs() {
+                check_stream(&cfg, &steps)?;
+            }
+        }
     }
 }
 
