@@ -19,6 +19,7 @@
 use dimm_link::config::{IdcKind, PollingStrategy, SyncScheme, SystemConfig};
 use dimm_link::runner::{host_baseline, simulate, simulate_optimized, RunResult};
 use dl_bench::sweep::{Sweep, SweepOptions};
+use dl_engine::{RunBudget, RunStatus};
 use dl_noc::TopologyKind;
 use dl_workloads::{WorkloadKind, WorkloadParams};
 use std::fmt;
@@ -343,7 +344,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-/// Builds the system configuration a spec describes.
+/// Builds the system configuration a spec describes, including the
+/// deterministic run budget of `--max-events` and `--max-sim-ms`.
 pub fn system_of(spec: &RunSpec) -> Result<SystemConfig, CliError> {
     if spec.dimms == 0 || spec.channels == 0 || !spec.dimms.is_multiple_of(spec.channels) {
         return Err(err(format!(
@@ -365,6 +367,10 @@ pub fn system_of(spec: &RunSpec) -> Result<SystemConfig, CliError> {
             .ok_or_else(|| err(format!("--link-gbps {gb} is too large")))?;
         cfg.link = cfg.link.with_bandwidth(bytes_per_sec);
     }
+    cfg.budget = RunBudget {
+        max_events: spec.max_events,
+        max_sim_ps: spec.max_sim_ms.map(|ms| ms.saturating_mul(1_000_000_000)),
+    };
     cfg.validate().map_err(CliError)?;
     Ok(cfg)
 }
@@ -408,6 +414,9 @@ pub struct CompareRow {
     pub speedup_vs_host: f64,
     /// Non-overlapped IDC stall fraction.
     pub idc_stall_frac: f64,
+    /// Whether the run completed or stopped at a `--max-events` /
+    /// `--max-sim-ms` budget (the host baseline always completes).
+    pub status: RunStatus,
 }
 
 /// Runs the `compare` subcommand: host + all mechanisms + DL-opt.
@@ -419,6 +428,7 @@ pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
         elapsed_ns: host_ns,
         speedup_vs_host: 1.0,
         idc_stall_frac: 0.0,
+        status: RunStatus::Completed,
     }];
     for idc in [
         IdcKind::CpuForwarding,
@@ -437,6 +447,7 @@ pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
             elapsed_ns: r.elapsed.as_ns_f64(),
             speedup_vs_host: host_ns / r.elapsed.as_ns_f64(),
             idc_stall_frac: r.idc_stall_frac(),
+            status: r.status,
         });
     }
     let mut s = spec.clone();
@@ -450,6 +461,7 @@ pub fn execute_compare(spec: &RunSpec) -> Result<Vec<CompareRow>, CliError> {
         elapsed_ns: r.elapsed.as_ns_f64(),
         speedup_vs_host: host_ns / r.elapsed.as_ns_f64(),
         idc_stall_frac: r.idc_stall_frac(),
+        status: r.status,
     });
     Ok(rows)
 }
@@ -480,7 +492,8 @@ pub fn execute_sweep(
             SweepParam::LinkGbps => s.link_gbps = Some(v),
             SweepParam::Scale => s.scale = scale_of(v)?,
         }
-        let cfg = system_of(&s)?; // validate before spawning workers
+        // Validates before spawning workers; the config carries the budget.
+        let cfg = system_of(&s)?;
         let label = format!("{} / {name}={v}", s.workload);
         if s.optimized {
             sweep.simulate_optimized(label, s.workload, params_of(&s), cfg);
@@ -488,10 +501,6 @@ pub fn execute_sweep(
             sweep.simulate(label, s.workload, params_of(&s), cfg);
         }
     }
-    sweep.apply_budget(dl_engine::RunBudget {
-        max_events: spec.max_events,
-        max_sim_ps: spec.max_sim_ms.map(|ms| ms.saturating_mul(1_000_000_000)),
-    });
     if spec.resume && spec.out_dir.is_none() {
         return Err(err("--resume needs --out DIR (the journal lives there)"));
     }
@@ -705,6 +714,20 @@ mod tests {
     }
 
     #[test]
+    fn system_of_carries_the_budget() {
+        let unbudgeted = system_of(&RunSpec::default()).unwrap();
+        assert!(unbudgeted.budget.is_unlimited());
+        let spec = RunSpec {
+            max_events: Some(10),
+            max_sim_ms: Some(3),
+            ..RunSpec::default()
+        };
+        let cfg = system_of(&spec).unwrap();
+        assert_eq!(cfg.budget.max_events, Some(10));
+        assert_eq!(cfg.budget.max_sim_ps, Some(3_000_000_000));
+    }
+
+    #[test]
     fn zero_link_bandwidth_is_a_cli_error() {
         let Command::Run(spec) = parse_args(&sv(&["run", "--link-gbps", "0"])).unwrap() else {
             panic!("expected Run")
@@ -753,6 +776,19 @@ mod tests {
         let rows = execute_compare(&spec).unwrap();
         assert_eq!(rows.len(), 7); // host + 5 mechanisms + DL-opt
         assert!(rows.iter().all(|r| r.elapsed_ns > 0.0));
+        assert!(rows.iter().all(|r| r.status.is_complete()));
+        let cut = execute_compare(&RunSpec {
+            max_events: Some(10),
+            ..spec
+        })
+        .unwrap();
+        assert!(
+            cut[0].status.is_complete(),
+            "the host baseline has no budget"
+        );
+        assert!(cut[1..]
+            .iter()
+            .all(|r| r.status == RunStatus::BudgetExceeded(dl_engine::BudgetKind::Events)));
     }
 
     #[test]

@@ -31,6 +31,7 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
             if spec.json {
                 #[derive(serde::Serialize)]
                 struct Out<'a> {
+                    status: dl_engine::RunStatus,
                     elapsed_ns: f64,
                     profiling_ns: f64,
                     idc_stall_frac: f64,
@@ -39,6 +40,7 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                     stats: &'a dl_engine::stats::StatSet,
                 }
                 let out = Out {
+                    status: r.status,
                     elapsed_ns: r.elapsed.as_ns_f64(),
                     profiling_ns: r.profiling.as_ns_f64(),
                     idc_stall_frac: r.idc_stall_frac(),
@@ -51,6 +53,7 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                     serde_json::to_string_pretty(&out).expect("serializable")
                 );
             } else {
+                println!("status           : {}", r.status);
                 println!("elapsed          : {}", r.elapsed);
                 if r.profiling > dl_engine::Ps::ZERO {
                     println!("  profiling phase: {}", r.profiling);
@@ -77,16 +80,17 @@ fn dispatch(cmd: Command) -> Result<(), dl_cli::CliError> {
                 );
             } else {
                 println!(
-                    "{:<16} {:>14} {:>10} {:>10}",
+                    "{:<16} {:>14} {:>10} {:>10}  status",
                     "system", "elapsed", "speedup", "idc-stall"
                 );
                 for r in rows {
                     println!(
-                        "{:<16} {:>12.1}us {:>9.2}x {:>9.1}%",
+                        "{:<16} {:>12.1}us {:>9.2}x {:>9.1}%  {}",
                         r.system,
                         r.elapsed_ns / 1e3,
                         r.speedup_vs_host,
-                        r.idc_stall_frac * 100.0
+                        r.idc_stall_frac * 100.0,
+                        r.status
                     );
                 }
             }

@@ -56,6 +56,40 @@ fn run_emits_valid_json() {
 }
 
 #[test]
+fn run_honours_the_event_budget() {
+    let run = |extra: &[&str]| {
+        let out = dlsim()
+            .args(["run", "--workload", "pr", "--scale", "8"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let json = |text: &str| -> serde_json::Value { serde_json::from_str(text).unwrap() };
+    let full = json(&run(&["--json"]));
+    let cut = json(&run(&["--max-events", "10", "--json"]));
+    assert_eq!(full["status"].as_str(), Some("Completed"));
+    assert_eq!(cut["status"]["BudgetExceeded"].as_str(), Some("Events"));
+    let (full_ns, cut_ns) = (
+        full["elapsed_ns"].as_f64().unwrap(),
+        cut["elapsed_ns"].as_f64().unwrap(),
+    );
+    assert!(
+        cut_ns < full_ns,
+        "budgeted {cut_ns} ns vs full {full_ns} ns"
+    );
+
+    assert!(run(&[]).contains("status           : completed"));
+    let text = run(&["--max-events", "10"]);
+    assert!(text.contains("exceeded the event budget"), "{text}");
+}
+
+#[test]
 fn sweep_prints_every_value() {
     let out = dlsim()
         .args([

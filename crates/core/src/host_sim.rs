@@ -9,11 +9,11 @@
 //! processing exploits.
 
 use crate::config::HostConfig;
+use crate::txn::TxnTable;
 use dl_engine::stats::StatSet;
 use dl_engine::{EventQueue, Ps, Resource};
 use dl_mem::{AccessKind, Cache, CacheOutcome, DimmAddressMap, MemController, MemRequest};
 use dl_workloads::{Op, Workload};
-use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -83,7 +83,7 @@ struct HostSystem<'w> {
     map: DimmAddressMap,
     atomic_unit: Resource,
     /// txn -> (core, is-load)
-    txns: BTreeMap<u64, (usize, bool)>,
+    txns: TxnTable<(usize, bool)>,
     next_txn: u64,
     now: Ps,
     done: usize,
@@ -125,7 +125,7 @@ impl<'w> HostSystem<'w> {
             mc_next: vec![Ps::MAX; cfg.channels],
             map: DimmAddressMap::new(&cfg.dram),
             atomic_unit: Resource::new("host-atomics"),
-            txns: BTreeMap::new(),
+            txns: TxnTable::new(),
             next_txn: 0,
             now: Ps::ZERO,
             done: 0,
@@ -148,7 +148,7 @@ impl<'w> HostSystem<'w> {
                 Ev::Wake(c) => self.advance_core(c),
                 Ev::MemTick(ch) => self.mem_tick(ch),
                 Ev::Done(id) => {
-                    if let Some((c, _)) = self.txns.remove(&id) {
+                    if let Some((c, _)) = self.txns.remove(id) {
                         self.complete(c, id);
                     }
                 }
@@ -185,13 +185,14 @@ impl<'w> HostSystem<'w> {
                 }
                 return;
             }
-            match trace[self.cores[c].pc] {
+            let op = trace[self.cores[c].pc];
+            match op {
                 Op::Comp(cycles) => {
                     self.cores[c].pc += 1;
                     t += self.cfg.freq.cycles(cycles as u64);
                 }
                 Op::Load { addr, cacheable } | Op::Store { addr, cacheable } => {
-                    let is_write = matches!(trace[self.cores[c].pc], Op::Store { .. });
+                    let is_write = matches!(op, Op::Store { .. });
                     if cacheable {
                         let l1_lat = self.cfg.freq.cycles(self.l1[c].hit_latency_cycles() as u64);
                         match self.l1[c].access(addr, is_write) {
@@ -230,7 +231,7 @@ impl<'w> HostSystem<'w> {
                     self.issue_mem(c, addr, is_write, t);
                     t += self.cfg.freq.cycles(1);
                 }
-                Op::Atomic { addr } => {
+                Op::Atomic { .. } => {
                     if !self.cores[c].outstanding.is_empty() {
                         self.cores[c].status = Status::WaitDrain;
                         self.cores[c].blocked_at = t;
@@ -243,7 +244,6 @@ impl<'w> HostSystem<'w> {
                     self.txns.insert(id, (c, false));
                     self.cores[c].status = Status::WaitTxn(id);
                     self.cores[c].blocked_at = t;
-                    let _ = addr;
                     self.events.push(done, Ev::Done(id));
                     return;
                 }
@@ -347,7 +347,7 @@ impl<'w> HostSystem<'w> {
         // the return-path latency added.
         let lat = self.cfg.channel_latency;
         for comp in self.mcs[ch].service(self.now) {
-            if self.txns.contains_key(&comp.id) {
+            if self.txns.contains(comp.id) {
                 self.events.push(self.now + lat, Ev::Done(comp.id));
             }
         }

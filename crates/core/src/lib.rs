@@ -41,6 +41,7 @@ pub mod host_sim;
 pub mod idc;
 pub mod runner;
 pub mod system;
+mod txn;
 
 pub use config::{HostConfig, IdcKind, PlacementPolicy, PollingStrategy, SyncScheme, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyParams};

@@ -34,6 +34,7 @@ use crate::idc::{
     distance_matrix, min_cross_latency, wire_bytes, CallOrderStats, Interconnect, Route,
     NOTIFY_BYTES,
 };
+use crate::txn::TxnTable;
 use dl_engine::epoch::{merge_epoch, Envelope, Outbox};
 use dl_engine::stats::{Histogram, StatSet};
 use dl_engine::{BudgetKind, EventQueue, Ps, Resource, RunStatus};
@@ -266,7 +267,7 @@ struct DimmPart {
     atomic_unit: Resource,
     events: EventQueue<Ev>,
     outbox: Outbox<Intent>,
-    txn_mem: BTreeMap<u64, TxnClass>,
+    txn_mem: TxnTable<TxnClass>,
     next_txn: u64,
     now: Ps,
     /// Exclusive upper bound on this epoch (cores must not run past it:
@@ -280,7 +281,7 @@ struct DimmPart {
     ev_wake: u64,
     ev_mem: u64,
     ev_net: u64,
-    remote_issue: BTreeMap<u64, Ps>,
+    remote_issue: TxnTable<Ps>,
     remote_rtt: Histogram,
     /// Full-size table; merged across partitions at collection.
     profile: AccessProfile,
@@ -410,7 +411,7 @@ impl<'w> NmpSystem<'w> {
                     atomic_unit: Resource::new(format!("dimm{d}.atomic")),
                     events,
                     outbox: Outbox::new(d),
-                    txn_mem: BTreeMap::new(),
+                    txn_mem: TxnTable::new(),
                     next_txn: 0,
                     now: Ps::ZERO,
                     horizon: Ps::ZERO,
@@ -422,7 +423,7 @@ impl<'w> NmpSystem<'w> {
                     ev_wake: 0,
                     ev_mem: 0,
                     ev_net: 0,
-                    remote_issue: BTreeMap::new(),
+                    remote_issue: TxnTable::new(),
                     remote_rtt: Histogram::new(),
                     profile: AccessProfile::new(threads, cfg.dimms),
                 }
@@ -1093,7 +1094,7 @@ impl DimmPart {
         self.mc_next = Ps::MAX;
         let completions = self.mc.service(self.now);
         for comp in completions {
-            let Some(class) = self.txn_mem.remove(&comp.id) else {
+            let Some(class) = self.txn_mem.remove(comp.id) else {
                 continue;
             };
             match class {
@@ -1147,7 +1148,7 @@ impl DimmPart {
                 origin,
                 remote,
             } => {
-                if let Some(issued) = self.remote_issue.remove(&origin) {
+                if let Some(issued) = self.remote_issue.remove(origin) {
                     self.remote_rtt
                         .record((self.now.saturating_sub(issued)).as_ps());
                 }

